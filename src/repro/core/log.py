@@ -273,7 +273,9 @@ class MemoryLog:
     # -- rollback support ----------------------------------------------------------
 
     def entries_to_undo(self, target_epoch: int, upto_epoch: int,
-                        read_line: Callable[[int], int]) -> List[LogEntry]:
+                        read_line: Callable[[int], int],
+                        decoded: Optional[List[LogEntry]] = None
+                        ) -> List[LogEntry]:
         """Decode entries with epoch in [target, upto], newest first.
 
         Reads the log *from memory content alone*, not from Python-side
@@ -284,10 +286,16 @@ class MemoryLog:
         rejects them (this assumes fewer than 128 epochs elapse within
         one log wrap, which the 7-bit epoch field imposes — a real
         implementation would widen the field or scrub markers).
+
+        ``decoded`` is this region's :meth:`decode_region` output when
+        the caller already has it (recovery decodes each region once);
+        ``read_line`` is then not consulted.
         """
         keep_epochs = {e % _EPOCH_MOD for e in
                        range(target_epoch, upto_epoch + 1)}
-        live = [e for e in self.decode_region(read_line)
+        if decoded is None:
+            decoded = self.decode_region(read_line)
+        live = [e for e in decoded
                 if e.is_data and e.epoch in keep_epochs]
         rebase = unwrap_sequence([e.seq for e in live])
         live.sort(key=lambda e: rebase[e.seq], reverse=True)
@@ -302,25 +310,31 @@ class MemoryLog:
                       read_line: Callable[[int], int]) -> List[LogEntry]:
         """Decode every valid record findable in the region's memory.
 
-        Scans all ring positions; slots never written read as zero and
-        carry no valid marker.
+        Block-granular: one metadata-line read per block, an entry-line
+        read only for a slot whose marker is valid.  Blocks whose
+        metadata line reads as zero (never written) are skipped whole.
+        Records come out in ring-position order.
         """
         out: List[LogEntry] = []
-        for position in range(self.capacity_slots):
-            entry_line, meta_line, within = self._slot_lines(position)
-            meta = read_line(meta_line)
-            word = (meta >> (64 * within)) & _WORD_MASK
-            addr_field, epoch, seq, valid = _unpack_word(word)
-            if not valid:
+        region = self.region_lines
+        for base in range(0, self.n_blocks * LINES_PER_BLOCK,
+                          LINES_PER_BLOCK):
+            meta = read_line(region[base])
+            if not meta:
                 continue
-            if addr_field == _COMMIT_PATTERN:
-                out.append(LogEntry(addr=-1, epoch=epoch, seq=seq,
-                                    value=read_line(entry_line),
-                                    is_commit=True))
-            else:
-                out.append(LogEntry(addr=addr_field << 6, epoch=epoch,
-                                    seq=seq, value=read_line(entry_line),
-                                    is_commit=False))
+            for within in range(ENTRIES_PER_BLOCK):
+                word = (meta >> (64 * within)) & _WORD_MASK
+                if not word & 1:
+                    continue
+                addr_field, epoch, seq, _valid = _unpack_word(word)
+                value = read_line(region[base + 1 + within])
+                if addr_field == _COMMIT_PATTERN:
+                    out.append(LogEntry(addr=-1, epoch=epoch, seq=seq,
+                                        value=value, is_commit=True))
+                else:
+                    out.append(LogEntry(addr=addr_field << 6, epoch=epoch,
+                                        seq=seq, value=value,
+                                        is_commit=False))
         return out
 
     def reset_to_epoch(self, target_epoch: int) -> None:

@@ -16,7 +16,7 @@ members.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 from repro.memory.geomcache import GeometryCache
 from repro.memory.layout import ParityGeometry
@@ -136,43 +136,71 @@ class ParityEngine:
 
     # -- reconstruction (used by recovery, Phases 2-4) -------------------------
 
+    def stripe_xor(self, node: int, ppage: int,
+                   lines: Optional[Iterable[int]] = None
+                   ) -> List[Tuple[int, int]]:
+        """XOR of the *other* stripe members, line by line, for one page.
+
+        The single stripe-XOR implementation.  Rebuilding a lost line
+        and recomputing a parity line are the same operation: a parity
+        page's other stripe members are exactly its data pages, and a
+        data page's are its surviving peers (just the mirror under
+        mirroring).  The members and their address offsets are resolved
+        once per page; every member line is still read through
+        :meth:`NodeMemory.read_line`, so a lost member raises
+        ``LostMemoryError``.
+
+        ``lines`` (addresses inside the page) defaults to the whole
+        page in :meth:`AddressSpace.lines_of_page` order.  Returns
+        ``(line_addr, value)`` pairs in input order.  Purely
+        functional; recovery charges timing separately because
+        reconstruction is batched page-at-a-time.
+        """
+        machine = self.machine
+        space = machine.addr_space
+        base = space.page_base(node, ppage)
+        members = [(machine.nodes[n].memory.read_line,
+                    space.page_base(n, p) - base)
+                   for n, p in self.geometry.stripe_of(node, ppage)
+                   if n != node]
+        if lines is None:
+            lines = space.lines_of_page(node, ppage)
+        out = []
+        for line_addr in lines:
+            value = 0
+            for read, delta in members:
+                value ^= read(line_addr + delta)
+            out.append((line_addr, value))
+        return out
+
     def reconstruct_line(self, line_addr: int) -> int:
         """Recompute a lost line by XORing its surviving stripe members.
 
         With mirroring this degenerates to reading the single peer.
-        Purely functional; recovery charges timing separately because
-        reconstruction is batched page-at-a-time.
         """
-        nodes = self.machine.nodes
-        home_node = self.geom.home_node
-        value = 0
-        for peer in self.geom.peers(line_addr):
-            value ^= nodes[home_node(peer)].memory.read_line(peer)
-        return value
+        node, ppage = self.machine.addr_space.node_page_of(line_addr)
+        return self.stripe_xor(node, ppage, (line_addr,))[0][1]
 
     def recompute_parity_line(self, parity_line: int) -> int:
         """Recompute a parity line from its data members (stripe repair)."""
-        space = self.machine.addr_space
-        node, ppage = space.node_page_of(parity_line)
-        offset = parity_line % self.config.page_size
-        value = 0
-        for data_node, data_page in self.geometry.stripe_data_pages(node,
-                                                                    ppage):
-            member = space.page_base(data_node, data_page) + offset
-            value ^= self.machine.nodes[data_node].memory.read_line(member)
-        return value
+        node, ppage = self.machine.addr_space.node_page_of(parity_line)
+        self._require_parity_page(node, ppage)
+        return self.stripe_xor(node, ppage, (parity_line,))[0][1]
+
+    def _require_parity_page(self, node: int, ppage: int) -> None:
+        if not self.geometry.is_parity_page(node, ppage):
+            raise ValueError(
+                f"page {ppage} of node {node} is not a parity page")
 
     # -- invariants (tests and post-recovery verification) ----------------------
 
     def check_stripe(self, parity_node: int, ppage: int) -> bool:
         """True when a parity page equals the XOR of its data pages."""
-        space = self.machine.addr_space
-        for parity_line in space.lines_of_page(parity_node, ppage):
-            stored = self.machine.nodes[parity_node].memory.read_line(
-                parity_line)
-            if stored != self.recompute_parity_line(parity_line):
-                return False
-        return True
+        self._require_parity_page(parity_node, ppage)
+        read = self.machine.nodes[parity_node].memory.read_line
+        return all(read(line_addr) == value
+                   for line_addr, value in self.stripe_xor(parity_node,
+                                                           ppage))
 
     def check_all_parity(self) -> List[Tuple[int, int]]:
         """Exhaustive parity scan; returns the list of broken stripes.

@@ -6,8 +6,9 @@ Recovery runs in four phases:
   reset.  Outside the paper's scope; a fixed cost (50 ms for 16
   processors, from the Hive/FLASH numbers the paper adopts).
 * **Phase 2** — only after memory loss: the lost node's *log region* is
-  reconstructed line-by-line by XORing the surviving members of each
-  stripe.  Afterwards the log is decoded from the rebuilt bytes alone.
+  reconstructed by XORing the surviving members of each stripe.
+  Afterwards every node's log is decoded from memory alone — once per
+  recovery; the committed-epoch scan and the rollback share the result.
 * **Phase 3** — rollback: every node's log entries belonging to epochs
   newer than the recovery target are applied *newest first*, restoring
   each line's checkpoint pre-image.  Lost data pages touched by the
@@ -23,7 +24,10 @@ and is verified bit-for-bit against golden checkpoint snapshots — while
 phase durations come from a cost model over the machine's bandwidth
 parameters (reads are batched page-at-a-time across all surviving
 processors, so per-access resource walks would misrepresent the
-pipelining; see the cost helpers at the bottom).
+pipelining; see the cost helpers at the bottom).  The host code works
+at the same granularity: stripes are rebuilt a page at a time
+(:meth:`~repro.core.parity.ParityEngine.stripe_xor`) and logs are
+decoded a block at a time (docs/PERFORMANCE.md, "Recovery host path").
 
 Observability: a traced recovery emits the ``recovery`` category
 events documented in docs/OBSERVABILITY.md — ``recovery.begin`` at
@@ -39,6 +43,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+
+from repro.core.log import LogEntry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.system import Machine
@@ -136,9 +142,13 @@ class RecoveryManager:
         phase2_ns = 0
         log_lines_rebuilt = 0
         if lost_node is not None:
-            phase2_ns, log_lines_rebuilt = self._rebuild_lost_log(lost_node)
+            self._rebuild_lost_log(lost_node)
+        decoded = self.decode_logs()
+        if lost_node is not None:
+            phase2_ns, log_lines_rebuilt = self._log_rebuild_cost(
+                lost_node, decoded[lost_node])
 
-        committed = self.determine_committed_epoch()
+        committed = self.determine_committed_epoch(decoded)
         if target_epoch is None:
             target_epoch = max(0, committed - 1)
         if target_epoch > committed:
@@ -155,10 +165,11 @@ class RecoveryManager:
         lost_work_ns = max(
             0, detect_time - machine.commit_time_of_epoch(target_epoch))
 
-        phase3_ns, entries, pages_on_demand = self._rollback(
-            target_epoch, committed, lost_node)
+        phase3_ns, entries, rebuilt_pages = self._rollback(
+            target_epoch, committed, lost_node, decoded)
 
-        phase4_ns, pages_background = self._background_repair(lost_node)
+        phase4_ns, pages_background = self._background_repair(
+            lost_node, rebuilt_pages)
 
         # Logs and epochs resume from the recovery target.
         for log in machine.revive.logs.values():
@@ -180,7 +191,7 @@ class RecoveryManager:
             phase4_background_ns=phase4_ns,
             entries_undone=entries,
             log_lines_rebuilt=log_lines_rebuilt,
-            pages_rebuilt_during_rollback=pages_on_demand,
+            pages_rebuilt_during_rollback=len(rebuilt_pages),
             pages_rebuilt_background=pages_background,
         )
         result.resume_time = detect_time + result.phase1_ns \
@@ -245,53 +256,71 @@ class RecoveryManager:
 
     # -- committed-epoch determination (two-phase commit evidence) -------------
 
-    def determine_committed_epoch(self) -> int:
+    def decode_logs(self) -> Dict[int, List[LogEntry]]:
+        """Every node's log region decoded from memory, keyed by node.
+
+        Recovery calls this once, right after Phase 2, and hands the
+        map to every later reader: no recovery write touches a log
+        region, so the decode stays valid through the rollback.
+        """
+        machine = self.machine
+        return {node.node_id: machine.revive.logs[node.node_id]
+                .decode_region(node.memory.read_line)
+                for node in machine.nodes}
+
+    def determine_committed_epoch(
+            self, decoded: Optional[Dict[int, List[LogEntry]]] = None
+    ) -> int:
         """Last checkpoint committed on *every* node, from memory alone.
 
         Reads the durable commit records out of each node's (possibly
         just rebuilt) log region.  A checkpoint counts as established
         only if every node holds its record — exactly the guarantee the
         two barriers of Section 4.2's Checkpoint Commit Race provide.
+        ``decoded`` is a :meth:`decode_logs` map to read instead of
+        decoding the regions again.
         """
-        machine = self.machine
-        global_commit = None
-        for node in machine.nodes:
-            log = machine.revive.logs[node.node_id]
-            records = log.find_commit_records(node.memory.read_line)
-            node_max = max((r.value for r in records), default=0)
-            if global_commit is None or node_max < global_commit:
-                global_commit = node_max
-        return global_commit or 0
+        if decoded is None:
+            decoded = self.decode_logs()
+        return min((max((r.value for r in entries if r.is_commit),
+                        default=0)
+                    for entries in decoded.values()), default=0)
 
     # -- Phase 2 -----------------------------------------------------------------
 
-    def _rebuild_lost_log(self, lost_node: int) -> Tuple[int, int]:
+    def _rebuild_lost_log(self, lost_node: int) -> None:
         """Reconstruct the lost node's log region from parity.
 
-        Time is charged for a two-pass rebuild — first the metadata
-        lines (one per block), whose markers reveal which entry slots
-        are live, then only the live entry lines — so Phase 2 grows
-        with the *log contents*, as the paper states, not with the
-        region's reserved size.  Functionally the whole region is
-        restored (the dead lines are free to recompute and keep the
-        parity invariant checkable).
+        Functionally the whole region is restored, page by page in
+        region order (the dead lines are free to recompute and keep the
+        parity invariant checkable); :meth:`_log_rebuild_cost` charges
+        the time.
         """
         machine = self.machine
         memory = machine.nodes[lost_node].memory
         if not memory.lost:
             raise RuntimeError(
                 f"node {lost_node} memory is intact; Phase 2 not needed")
-        parity = machine.revive.parity
-        for line_addr in machine.log_region_lines(lost_node):
-            memory.restore_line(line_addr, parity.reconstruct_line(line_addr))
+        for ppage in machine.log_region_pages(lost_node):
+            self._rebuild_page(lost_node, ppage)
         memory.mark_recovered()
         # The stripe map memoized before the fault must not survive the
         # node's reincarnation: re-derive all geometry from scratch.
         machine.geom_cache.invalidate()
-        log = machine.revive.logs[lost_node]
-        meta_lines = log.n_blocks
-        live_entries = len(log.decode_region(memory.read_line))
-        timed_lines = meta_lines + live_entries
+
+    def _log_rebuild_cost(self, lost_node: int,
+                          lost_log: List[LogEntry]) -> Tuple[int, int]:
+        """Phase 2 duration and timed line count for the rebuilt log.
+
+        Time is charged for a two-pass rebuild — first the metadata
+        lines (one per block), whose markers reveal which entry slots
+        are live, then only the live entry lines — so Phase 2 grows
+        with the *log contents*, as the paper states, not with the
+        region's reserved size.  ``lost_log`` is the rebuilt region's
+        decode.
+        """
+        meta_lines = self.machine.revive.logs[lost_node].n_blocks
+        timed_lines = meta_lines + len(lost_log)
         workers = self.config.n_nodes - 1
         phase2_ns = (timed_lines * self._line_rebuild_cost_ns()
                      // max(1, workers))
@@ -300,7 +329,9 @@ class RecoveryManager:
     # -- Phase 3 ------------------------------------------------------------------
 
     def _rollback(self, target_epoch: int, committed: int,
-                  lost_node: Optional[int]) -> Tuple[int, int, int]:
+                  lost_node: Optional[int],
+                  decoded: Dict[int, List[LogEntry]]
+                  ) -> Tuple[int, int, Set[Tuple[int, int]]]:
         """Apply log entries newest-first; rebuild lost pages on demand.
 
         Every restore travels the same parity-maintaining write path the
@@ -309,28 +340,31 @@ class RecoveryManager:
         Keeping parity live during the rollback is what makes on-demand
         page reconstruction sound: a lost page is rebuilt from stripe
         members that may themselves have been rolled back already.
+
+        ``decoded`` is the :meth:`decode_logs` map.  Returns the phase
+        duration, the entries undone, and the set of ``(node, page)``
+        rebuilt on demand, which Phase 4 then skips.
         """
         machine = self.machine
         space = machine.addr_space
         total_entries = 0
-        pages_rebuilt = 0
         per_node_cost: List[int] = []
-        self._rebuilt_pages: Set[Tuple[int, int]] = set()
+        rebuilt_pages: Set[Tuple[int, int]] = set()
 
         for node in machine.nodes:
             log = machine.revive.logs[node.node_id]
             entries = log.entries_to_undo(target_epoch, committed,
-                                          node.memory.read_line)
+                                          node.memory.read_line,
+                                          decoded=decoded[node.node_id])
             cost = 0
             for entry in entries:
                 page_key = (node.node_id, space.page_of(entry.addr))
                 if (lost_node is not None and node.node_id == lost_node
-                        and page_key not in self._rebuilt_pages):
+                        and page_key not in rebuilt_pages):
                     # Restoring into a lost page: rebuild its stripe
                     # member first so unlogged lines recover too.
                     self._rebuild_page(*page_key)
-                    self._rebuilt_pages.add(page_key)
-                    pages_rebuilt += 1
+                    rebuilt_pages.add(page_key)
                     cost += self._page_rebuild_cost_ns()
                 self._restore_line(node.node_id, entry.addr, entry.value,
                                    lost_node)
@@ -347,7 +381,7 @@ class RecoveryManager:
             per_node_cost = [c + lost_cost // workers for c in per_node_cost]
 
         phase3_ns = max(per_node_cost) if per_node_cost else 0
-        return phase3_ns, total_entries, pages_rebuilt
+        return phase3_ns, total_entries, rebuilt_pages
 
     def _restore_line(self, node_id: int, line_addr: int, value: int,
                       lost_node: Optional[int]) -> None:
@@ -367,26 +401,28 @@ class RecoveryManager:
         memory.restore_line(line_addr, value)
 
     def _rebuild_page(self, node: int, ppage: int) -> None:
-        """Functionally reconstruct one lost page from its stripe.
+        """Functionally recompute one page from the rest of its stripe.
 
-        The reconstructed values are exactly what the live parity
-        already accounts for, so these writes must *not* fold into the
-        parity again.
+        For a lost data page the values are exactly what the live
+        parity already accounts for, so these writes must *not* fold
+        into the parity again; for a parity page (Phase 4) they are the
+        recomputed parity itself.  Lines land in page order.
         """
-        machine = self.machine
-        memory = machine.nodes[node].memory
-        parity = machine.revive.parity
-        for line_addr in machine.addr_space.lines_of_page(node, ppage):
-            memory.restore_line(line_addr, parity.reconstruct_line(line_addr))
+        memory = self.machine.nodes[node].memory
+        for line_addr, value in self.machine.revive.parity.stripe_xor(
+                node, ppage):
+            memory.restore_line(line_addr, value)
 
     # -- Phase 4 --------------------------------------------------------------------
 
-    def _background_repair(self,
-                           lost_node: Optional[int]) -> Tuple[int, int]:
+    def _background_repair(self, lost_node: Optional[int],
+                           already: Set[Tuple[int, int]]
+                           ) -> Tuple[int, int]:
         """Repair every stripe the recovery left damaged.
 
         Functionally: (a) rebuild the lost node's remaining pages from
-        parity, and (b) recompute every parity line whose stripe was
+        parity, skipping ``already`` (the pages Phase 3 rebuilt on
+        demand), and (b) recompute every parity page whose stripe was
         touched by rollback writes (rollback bypasses the normal
         parity-update path, as the paper's Phase 4 does).  The returned
         duration models the machine at ``rebuild_dedication`` of its
@@ -398,8 +434,6 @@ class RecoveryManager:
         pages_rebuilt = 0
 
         if lost_node is not None:
-            memory = machine.nodes[lost_node].memory
-            already = getattr(self, "_rebuilt_pages", set())
             # Remaining data pages of the lost node (mapped ones not
             # already rebuilt on demand during the rollback).
             for node_id, ppage in space.mapped_physical_pages():
@@ -423,10 +457,7 @@ class RecoveryManager:
         for node_id, ppage in touched:
             parity_pages.add(parity.geometry.parity_location(node_id, ppage))
         for parity_node, parity_page in sorted(parity_pages):
-            target = machine.nodes[parity_node].memory
-            for line_addr in space.lines_of_page(parity_node, parity_page):
-                target.restore_line(line_addr,
-                                    parity.recompute_parity_line(line_addr))
+            self._rebuild_page(parity_node, parity_page)
             if lost_node is not None and parity_node == lost_node:
                 pages_rebuilt += 1
 

@@ -117,22 +117,92 @@ def warm_machine(app: str, variant: str, run_kwargs: Dict,
 # ---------------------------------------------------------------------------
 
 #: Per-worker campaign context, set by :func:`_init_worker` (in the
-#: pool initializer, or directly for the serial path).
+#: pool initializer, or directly for the serial path, which resets it
+#: to None when the campaign ends).
 _CTX: Optional[Dict] = None
 
 
-def _init_worker(ctx: Dict) -> None:
+def _init_worker(ctx: Optional[Dict]) -> None:
     """Pool initializer: stash the shared campaign context."""
     global _CTX
     _CTX = ctx
+
+
+def _decoded_image(ctx: Dict, hybrid: Optional[float]) -> Dict:
+    """The warm image of one hybrid fraction, unpickled once per context.
+
+    Every forked scenario of the context restores from the same decoded
+    state.  That is sound only because ``Machine.restore`` copies the
+    image's containers and never aliases them (docs/SNAPSHOTS.md):
+    the state stays read-only however the scenarios diverge.  Only the
+    latest fraction's state is kept, so at most one decoded image is
+    alive per context; scenarios are hybrid-major, so a serial
+    campaign still decodes each image once.
+    """
+    decoded = ctx.setdefault("decoded", {})
+    state = decoded.get(hybrid)
+    if state is None:
+        decoded.clear()
+        state = decoded[hybrid] = pickle.loads(ctx["images"][hybrid])
+    return state
+
+
+def _scenario_machine(ctx: Dict, scenario: Dict):
+    """A machine at the warm point, ready for the scenario's fault.
+
+    Cold mode (no image) re-runs the warm-up; forked mode builds a
+    fresh machine and restores the context's decoded warm image.
+    """
+    app, variant = ctx["app"], ctx["variant"]
+    kwargs = dict(_hybrid_kwargs(ctx["run_kwargs"], scenario))
+    digest = bool(ctx.get("digest"))
+    if ctx["images"][scenario["hybrid_fraction"]] is None:
+        return warm_machine(app, variant, kwargs, ctx["warm_checkpoints"],
+                            digest=digest)
+    interval_ns = kwargs.pop("interval_ns", DEFAULT_INTERVAL_NS)
+    scale = kwargs.pop("scale", 1.0)
+    n_procs = kwargs.pop("n_procs", 16)
+    machine_config = kwargs.pop("machine_config", None)
+    machine = build_machine(variant, machine_config, interval_ns, **kwargs)
+    machine.attach_workload(get_workload(app, scale=scale, n_procs=n_procs))
+    if digest:
+        from repro.obs.digest import DigestRecorder
+
+        # Installed before restore so the warm-up chain carried
+        # inside the image resumes (machine/snapshot.py).
+        machine.install_digests(DigestRecorder())
+    machine.restore(_decoded_image(ctx, scenario["hybrid_fraction"]))
+    return machine
+
+
+def _fault_and_recover(machine, scenario: Dict, warm_checkpoints: int,
+                       interval_ns: int):
+    """Run to the scenario's detection time, inject, and recover.
+
+    Returns ``(detect_time, RecoveryResult)``; the target is the
+    second-newest warm checkpoint, the paper's worst case.
+    """
+    detect_time = (machine.checkpointing.commit_times[warm_checkpoints]
+                   + int(scenario["detect_fraction"] * interval_ns))
+    machine.run(until=detect_time)
+    lost_node = scenario["lost_node"]
+    if lost_node is not None:
+        NodeLossFault(lost_node).apply(machine)
+    else:
+        TransientSystemFault().apply(machine)
+    result = RecoveryManager(machine).recover(
+        detect_time=detect_time, lost_node=lost_node,
+        target_epoch=warm_checkpoints - 1)
+    return detect_time, result
 
 
 def _run_scenario(payload: Tuple[int, Dict]
                   ) -> Tuple[int, Dict, Optional[Dict], Optional[Dict]]:
     """Worker body: one fault scenario; module-level so it pickles.
 
-    Forked mode restores the warm image into a fresh machine; cold
-    mode re-runs the warm-up from scratch.  Either way the machine
+    Forked mode restores the warm image into a fresh machine (the
+    image is unpickled once per worker context); cold mode re-runs
+    the warm-up from scratch.  Either way the machine
     then runs to its detection time, takes the fault, and recovers —
     the outcomes are identical (the snapshot oracle guarantees it),
     only the wall-clock differs.
@@ -154,31 +224,7 @@ def _run_scenario(payload: Tuple[int, Dict]
     index, scenario = payload
     ctx = _CTX
     app, variant = ctx["app"], ctx["variant"]
-    run_kwargs = ctx["run_kwargs"]
-    warm = ctx["warm_checkpoints"]
-    digest = bool(ctx.get("digest"))
-    image = ctx["images"][scenario["hybrid_fraction"]]
-    if image is None:  # cold mode: pay the warm-up per scenario
-        machine = warm_machine(app, variant,
-                               _hybrid_kwargs(run_kwargs, scenario),
-                               warm, digest=digest)
-    else:
-        kwargs = dict(_hybrid_kwargs(run_kwargs, scenario))
-        interval_ns = kwargs.pop("interval_ns", DEFAULT_INTERVAL_NS)
-        scale = kwargs.pop("scale", 1.0)
-        n_procs = kwargs.pop("n_procs", 16)
-        machine_config = kwargs.pop("machine_config", None)
-        machine = build_machine(variant, machine_config, interval_ns,
-                                **kwargs)
-        machine.attach_workload(
-            get_workload(app, scale=scale, n_procs=n_procs))
-        if digest:
-            from repro.obs.digest import DigestRecorder
-
-            # Installed before restore so the warm-up chain carried
-            # inside the image resumes (machine/snapshot.py).
-            machine.install_digests(DigestRecorder())
-        machine.restore(pickle.loads(image))
+    machine = _scenario_machine(ctx, scenario)
 
     profiler = None
     if ctx.get("profile"):
@@ -187,18 +233,9 @@ def _run_scenario(payload: Tuple[int, Dict]
         profiler = Profiler()
         machine.install_profiler(profiler)
 
-    interval_ns = run_kwargs.get("interval_ns", DEFAULT_INTERVAL_NS)
-    detect_time = (machine.checkpointing.commit_times[warm]
-                   + int(scenario["detect_fraction"] * interval_ns))
-    machine.run(until=detect_time)
-    lost_node = scenario["lost_node"]
-    if lost_node is not None:
-        NodeLossFault(lost_node).apply(machine)
-    else:
-        TransientSystemFault().apply(machine)
-    result = RecoveryManager(machine).recover(
-        detect_time=detect_time, lost_node=lost_node,
-        target_epoch=warm - 1)
+    interval_ns = ctx["run_kwargs"].get("interval_ns", DEFAULT_INTERVAL_NS)
+    detect_time, result = _fault_and_recover(
+        machine, scenario, ctx["warm_checkpoints"], interval_ns)
     outcome = dict(scenario)
     outcome.update(
         app=app, variant=variant, interval_ns=interval_ns,
@@ -217,7 +254,7 @@ def _run_scenario(payload: Tuple[int, Dict]
 
         snapshot = profile_snapshot(profiler)
     chain = None
-    if digest and machine.digests is not None:
+    if ctx.get("digest") and machine.digests is not None:
         # One closing on-demand window fingerprints the recovered
         # state, so the chain covers the scenario end-to-end: warm-up
         # windows + the post-recovery state.
@@ -465,10 +502,16 @@ def run_campaign(app: str = "fft", variant: str = "cp_parity",
             digests.clear()
     if not ran_parallel:
         _init_worker(ctx)
-        for index, outcome, snapshot, chain in map(_run_scenario, todo):
-            indexed[index] = outcome
-            profiles[index] = snapshot
-            digests[index] = chain
+        try:
+            for index, outcome, snapshot, chain in map(_run_scenario,
+                                                       todo):
+                indexed[index] = outcome
+                profiles[index] = snapshot
+                digests[index] = chain
+        finally:
+            # Drop the context (image bytes + decoded state) with the
+            # campaign, not with the next one.
+            _init_worker(None)
         n_workers = 1
 
     outcomes = [indexed[index] for index in range(len(scenarios))]

@@ -2,12 +2,14 @@
 
 Every ReVive memory write consults the same pure functions of the
 physical address: which node is home, where the covering parity line
-lives, whether the stripe is mirrored, and (during recovery) which
-stripe peers survive.  All of these are fixed by the machine geometry
-the moment the address is allocated — so the answers are memoized here,
-one dict entry per distinct line address, and shared by the parity
-engine, the ReVive controller/log path, and the coherence protocol's
-home lookup (docs/PERFORMANCE.md).
+lives, whether the stripe is mirrored, and which lines are its stripe
+peers.  All of these are fixed by the machine geometry the moment the
+address is allocated — so the answers are memoized here, one dict entry
+per distinct line address, and shared by the parity engine, the ReVive
+controller/log path, and the coherence protocol's home lookup
+(docs/PERFORMANCE.md).  Recovery's bulk stripe XORs do not go through
+the per-line peer map: ``ParityEngine.stripe_xor`` resolves a page's
+stripe members once per page.
 
 The cache must never outlive the geometry it describes.  A machine
 rebuild constructs a fresh :class:`GeometryCache` (it is owned by

@@ -158,7 +158,10 @@ class DigestChain:
         if schema != DIGEST_SCHEMA:
             raise ValueError(f"digest chain schema {schema!r} != "
                              f"supported {DIGEST_SCHEMA}")
-        return cls(data["windows"])
+        # Copy each window: a restored chain must never alias the
+        # (possibly shared) image it came from (docs/SNAPSHOTS.md).
+        return cls([dict(w, components=dict(w["components"]))
+                    for w in data["windows"]])
 
     def __len__(self) -> int:
         return len(self.windows)

@@ -5,8 +5,11 @@ import pytest
 from conftest import ToyWorkload, build_tiny_machine, run_toy
 
 
-@pytest.fixture
+@pytest.fixture(scope="module")
 def machine():
+    """One finished run shared by the tests that only inspect it (the
+    simulator is deterministic, so a fresh run per test is the same
+    machine); tests that drive a machine themselves build their own."""
     return run_toy(build_tiny_machine(), ToyWorkload(rounds=4))
 
 

@@ -11,6 +11,7 @@ import pytest
 from conftest import ToyWorkload, build_tiny_machine
 
 from repro.core.faults import NodeLossFault, TransientSystemFault
+from repro.core.log import MemoryLog
 from repro.core.recovery import RecoveryManager
 
 
@@ -101,6 +102,24 @@ class TestNodeLossRecovery:
         assert result.log_lines_rebuilt > 0
         assert result.phase2_ns > 0
         assert result.pages_rebuilt_background > 0
+
+    def test_each_log_region_is_decoded_once(self, monkeypatch):
+        machine = build_tiny_machine()
+        detect = run_until_after_second_commit(machine)
+        decodes = []
+        original = MemoryLog.decode_region
+
+        def counting(log, read_line):
+            decodes.append(log.node)
+            return original(log, read_line)
+
+        monkeypatch.setattr(MemoryLog, "decode_region", counting)
+        NodeLossFault(2).apply(machine)
+        result = RecoveryManager(machine).recover(detect_time=detect,
+                                                  lost_node=2)
+        assert sorted(decodes) == list(range(machine.config.n_nodes))
+        assert result.entries_undone > 0
+        assert machine.verify_against_snapshot(result.target_epoch) == []
 
     def test_committed_epoch_determined_from_rebuilt_log(self):
         machine = build_tiny_machine()
