@@ -8,8 +8,8 @@ it is tracked alongside the figures in two forms:
   ``results/simulator_throughput.txt``), and
 * the ``perf``-marked harness test, which writes the machine-readable
   ``results/BENCH_throughput.json`` — refs/sec per exhibit, speedup
-  against the recorded scalar-tier baseline, the columnar-vs-scalar
-  tier comparison, the sweep executor's parallel wall-clock
+  against the recorded baseline, the columnar-vs-reference-loop tier
+  comparison, the sweep executor's parallel wall-clock
   comparison, and the result store's warm-cache hit-path latency —
   and enforces the soft regression threshold plus the cache-hit and
   columnar-speedup gates (``repro.harness.perf``).
@@ -77,9 +77,9 @@ def test_throughput_report(results_dir):
 
     failures = hard_failures(report)
     assert not failures, "; ".join(failures)
-    # The recorded number is the scalar fast path's bench-host rate
-    # from before the columnar engine; staying at or above it is the
-    # point of the exercise.
+    # The recorded number is the bench-host rate of the (since
+    # deleted) scalar fast path from before the columnar engine;
+    # staying at or above it is the point of the exercise.
     base = report["exhibits"]["baseline"]["refs_per_sec"]
     assert base > 50_000, f"{base:.0f} refs/s"
     assert RECORDED_BASELINE_REFS_PER_SEC == 752_941  # provenance pin

@@ -68,9 +68,9 @@ def index_params(line_size: int, n_sets: int):
     ``groups`` is 0 when the cache is small enough for plain modulo
     indexing.  ``line_shift`` is ``None`` for a non-power-of-two line
     size (then callers must fall back to :func:`set_index`).  The
-    fast-path reference pipeline (``cpu.processor``) inlines
-    :func:`set_index` using these precomputed values; the two
-    formulations are kept equivalent by ``tests/test_cache.py``.
+    columnar batch engine (``cpu.columnar``) inlines :func:`set_index`
+    using these precomputed values; the two formulations are kept
+    equivalent by ``tests/test_cache.py``.
     """
     if line_size & (line_size - 1):
         line_shift = None

@@ -1,10 +1,10 @@
-"""Columnar batch engine: the vectorized third execution tier.
+"""Columnar batch engine: the default execution tier.
 
-The scalar fast path (``Processor._bind_fastpath``) already strips the
-per-reference pipeline to bound locals, but it still walks one address
-at a time.  This engine keeps each chunk's ``gaps``/``addrs``/
-``writes`` columns as numpy arrays end-to-end and retires whole runs
-of references with O(distinct-lines) work:
+The layered reference loop (``Processor._run_batch_reference``) walks
+one address at a time through translation, the cache hierarchy and
+the directory protocol.  This engine keeps each chunk's ``gaps``/
+``addrs``/``writes`` columns as numpy arrays end-to-end and retires
+whole runs of references with O(distinct-lines) work:
 
 1. **Bulk translation** — unique virtual pages looked up against the
    page table in one pass; unmapped pages (first-touch fallout) mark
@@ -57,22 +57,22 @@ state.  Applying a pure segment costs no per-reference work at all:
 * **Timing** — the segment advances time by its gap prefix plus the
   precomputed L1 latency prefix; the quantum deadline is located with
   one ``searchsorted`` over the combined prefix.  The deadline is only
-  ever applied *after* a reference executes (exactly like the scalar
-  loop — a barrier release can jump time past the deadline, and the
-  next reference must still execute in that activation).
+  ever applied *after* a reference executes (exactly like the
+  reference loop — a barrier release can jump time past the deadline,
+  and the next reference must still execute in that activation).
 * **Stores** — the k-th write in the segment carries store value
   ``counter + k``; only the last write per line survives, so values
   are reconstructed from the write-count column (small segments just
   replay writes in stream order).  A first write to an EXCLUSIVE line
   is a silent upgrade, read off the live line state.
 
-Counter flushes and ``mem.batch`` events replicate the scalar fast
-path, so all three tiers are bit-identical — pinned by
-``tests/test_fastpath.py`` and ``tests/test_columnar.py`` across every
-workload analog and ReVive variant.  A fallout that fills the L2 can
-evict a victim line; the victim's classification entry is withdrawn
-(its later references fall out to the scalar pipeline), which
-preserves exactness because the scalar pipeline handles every case.
+Counter flushes happen at the reference loop's batch boundaries, so
+the two tiers are bit-identical — pinned by ``tests/test_fastpath.py``
+and ``tests/test_columnar.py`` across every workload analog and ReVive
+variant.  A fallout that fills the L2 can evict a victim line; the
+victim's classification entry is withdrawn (its later references fall
+out to the per-reference pipeline), which preserves exactness because
+that pipeline handles every case.
 """
 
 from __future__ import annotations
@@ -92,9 +92,9 @@ def timed_protocol(read, write, cell):
 
     ``cell`` is a mutable ``[seconds, calls]`` list (one per node,
     handed out by ``Profiler.fallout_cell``) mutated in place, so the
-    instrumented hot loop performs no dict lookups.  Used by both
-    batch tiers at closure-bind time when a machine profiler is
-    installed; unprofiled binds keep the raw bound methods.
+    instrumented hot loop performs no dict lookups.  Used at
+    closure-bind time when a machine profiler is installed;
+    unprofiled binds keep the raw bound methods.
     """
 
     def timed_read(node, line, t):
@@ -125,13 +125,15 @@ _SMALL_SPAN = 48
 def bind_columnar(proc):
     """Compile the columnar batch closure for ``proc``.
 
-    Captures the same machine invariants as the scalar fast path and
-    returns ``None`` for geometries the inline indexing cannot handle
-    (non-power-of-two line size), in which case the processor falls
-    back a tier.  Binding installs both cache ``sync_hook``s;
-    ``Processor.invalidate_fastpath`` flushes and removes them when
-    the closure is dropped, and ``Processor.restore`` drops them
-    without flushing (restored state is authoritative).
+    Every invariant of the machine (cache-set dicts, page table, index
+    parameters, latencies, the tracer and profiler hooks) is captured
+    once in closure cells, so the hot loop runs on locals only.
+    ``MachineConfig.validate`` guarantees power-of-two line sizes, so
+    set indexing always inlines.  Binding installs both cache
+    ``sync_hook``s; ``Processor.invalidate_fastpath`` flushes and
+    removes them when the closure is dropped, and
+    ``Processor.restore`` drops them without flushing (restored state
+    is authoritative).
     """
     machine = proc.machine
     config = machine.config
@@ -139,8 +141,8 @@ def bind_columnar(proc):
     l1, l2 = hierarchy.l1, hierarchy.l2
     l1_shift, l1_nsets, l1_groups = l1.index_params()
     l2_shift, l2_nsets, l2_groups = l2.index_params()
-    if l1_shift is None or l2_shift is None:
-        return None
+    # l1 and l2 share the (power-of-two) line size, hence one shift.
+    assert l1_shift is not None and l1_shift == l2_shift
     line_shift = l2_shift
     l1_sets = l1.raw_sets()
     l2_sets = l2.raw_sets()
@@ -153,18 +155,21 @@ def bind_columnar(proc):
     offset_bits = space._offset_bits
     proto_read = machine.protocol.read
     proto_write = machine.protocol.write
-    # Host-time tier split: time the scalar protocol fallout calls into
-    # the profiler's per-node cell (see Processor._bind_fastpath — same
-    # bind-time resolution, zero cost when unprofiled).
+    # Host-time tier split (docs/OBSERVABILITY.md): with a profiler
+    # installed, the directory-protocol fallout calls are bracketed by
+    # perf_counter reads into the profiler's per-node fallout cell.
+    # Resolved at bind time like the tracer hook, so an unprofiled run
+    # keeps the raw bound methods and pays nothing;
+    # Machine.install_profiler invalidates the closure to re-bind.
     if machine.profiler is not None:
         proto_read, proto_write = timed_protocol(
             proto_read, proto_write,
             machine.profiler.fallout_cell(proc.node_id))
     write_value = hierarchy.write_value
     next_store = machine.next_store_value
-    # Inlined store bumps must honor the test-only perturbation too
-    # (see Processor._bind_fastpath) — tier invariance holds under
-    # REPRO_PERTURB_STORE exactly because every tier flips the same
+    # Inlined store bumps must honor the test-only perturbation exactly
+    # like next_store_value does — tier invariance holds under
+    # REPRO_PERTURB_STORE exactly because both tiers flip the same
     # counter.
     perturb_store = machine.perturb_store
     l1_hit_ns = config.l1_hit_ns
@@ -173,6 +178,12 @@ def bind_columnar(proc):
     overlap = config.miss_overlap
     node_id = proc.node_id
     MOD, EXC, SHA = MODIFIED, EXCLUSIVE, SHARED
+    # The mem-category hook is resolved once at bind time: when the
+    # tracer is off (or filters out "mem"), trace_mem is a plain False
+    # and the loop never touches tracing state at all — the
+    # zero-cost-when-off guarantee the throughput benchmark pins.
+    # Machine.install_tracer invalidates the closure so a
+    # later-installed tracer re-binds with trace_mem recomputed.
     tracer = machine.tracer
     trace_mem = tracer.enabled and (tracer.categories is None
                                     or "mem" in tracer.categories)
@@ -627,8 +638,8 @@ def bind_columnar(proc):
                     # in the reversed stream is the last write; its
                     # 1-based ordinal is nw - reversed_index.  A
                     # perturbed non-last write is overwritten in the
-                    # scalar tiers too, so flipping only the surviving
-                    # value keeps the tiers identical.
+                    # reference loop too, so flipping only the
+                    # surviving value keeps the tiers identical.
                     duw, didxw = np.unique(w_wiv[i:j][::-1],
                                            return_index=True)
                     kth = nw - didxw
@@ -684,7 +695,7 @@ def bind_columnar(proc):
 
             # ---- segment / fallout interleave -----------------------
             # The deadline is only ever applied right AFTER a
-            # reference executes (exactly like the scalar loop): a
+            # reference executes (exactly like the reference loop): a
             # barrier release can jump ``t`` past the deadline, and
             # the next reference must still execute this activation.
             cur = i0
@@ -789,10 +800,10 @@ def bind_columnar(proc):
                         t += l1_hit_ns if l1_hit else l2_hit_ns
                     ip += 1
                 else:
-                    # Full miss: the exact scalar pipeline.  The fill's
-                    # victim choice and double L1 touch must see real
-                    # state, so materialize the tag filter and flush
-                    # the deferred L2 order first.
+                    # Full miss: the exact per-reference pipeline.  The
+                    # fill's victim choice and double L1 touch must see
+                    # real state, so materialize the tag filter and
+                    # flush the deferred L2 order first.
                     sync_to(p, cols)
                     if l1_groups:
                         s1 = l1_sets[(line_no & 63)

@@ -12,59 +12,50 @@ until the batch quantum expires (bounding the time skew between
 processors, which is what keeps the busy-until contention model
 honest) or until a miss/barrier yields a natural scheduling point.
 
-Fast path (docs/PERFORMANCE.md): the reference loop is the
-simulator's hottest code — every simulated memory reference passes
-through it — so :meth:`Processor._run_batch` inlines the translation
-and the L1/L2 probe into one bound-local loop over the raw cache-set
-dicts, with hit/miss counters accumulated locally and flushed at
-batch boundaries.  The original layered loop is retained verbatim as
-:meth:`Processor._run_batch_reference`; the two are pinned
-behaviourally identical (times, counters, LRU order) by
-``tests/test_fastpath.py``, and ``REPRO_FASTPATH=0`` falls back to
-the reference loop globally.
+Execution tiers (docs/PERFORMANCE.md): the per-reference pipeline is
+the simulator's hottest code — every simulated memory reference passes
+through it — so by default :meth:`Processor._run_batch` hands each
+activation to the columnar batch engine (:mod:`repro.cpu.columnar`),
+which retires whole runs of cache hits with vectorized column passes
+and walks only miss/upgrade fallouts one reference at a time.  The
+original layered loop is retained verbatim as
+:meth:`Processor._run_batch_reference`, the engine's behavioural
+oracle: the two are pinned bit-identical (times, counters, LRU order,
+trace output) by ``tests/test_fastpath.py`` and
+``tests/test_columnar.py``.  Setting a processor's ``columnar`` flag
+to ``False`` selects the reference loop; only the oracle tests and
+the perf harness do.
 
-When a tracer with the ``mem`` category is installed, the fast path
-additionally emits one ``mem.batch`` event per counter flush (per-batch
-L1/L2 hit/miss and remote-home directory-transaction counts — see
-docs/OBSERVABILITY.md).  The hook is resolved at closure-bind time, so
-an untraced run pays nothing; the reference loop does not emit
-``mem`` events (it exists to pin timing/counter behaviour, which the
-batch events do not affect).
+When a tracer with the ``mem`` category is installed, the columnar
+engine additionally emits one ``mem.batch`` event per counter flush
+(per-batch L1/L2 hit/miss and remote-home directory-transaction
+counts — see docs/OBSERVABILITY.md).  The hook is resolved at
+closure-bind time, so an untraced run pays nothing; the reference loop
+does not emit ``mem`` events (it exists to pin timing/counter
+behaviour, which the batch events do not affect).
 
 The same bind-time pattern powers the host-time tier split
-(docs/OBSERVABILITY.md): with a machine profiler installed, the scalar
-directory-protocol fallout calls are wrapped with ``perf_counter``
-timers into per-node fallout cells, quantifying the
+(docs/OBSERVABILITY.md): with a machine profiler installed, the
+engine's directory-protocol fallout calls are wrapped with
+``perf_counter`` timers into per-node fallout cells, quantifying the
 docs/PERFORMANCE.md §1b ceiling.  The reference loop stays
 uninstrumented, exactly like it does for ``mem`` events.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
 
-from repro.cache.cache import EXCLUSIVE, MODIFIED, SHARED
 from repro.cache.hierarchy import HIT, NEED_GETS, NEED_GETX, NEED_UPGRADE
-from repro.cpu.columnar import bind_columnar, timed_protocol
+from repro.cpu.columnar import bind_columnar
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.system import Machine
 
 #: Re-check period for a processor parked at a workload barrier.
 BARRIER_POLL_NS = 500
-
-#: Execution-tier switch (docs/PERFORMANCE.md).  ``REPRO_FASTPATH=0``
-#: selects the layered reference loop everywhere; ``scalar`` (or the
-#: older alias ``compiled``) stops at the inlined scalar fast path; any
-#: other value — including the default ``1`` — enables the columnar
-#: batch engine on top of it.
-_TIER_ENV = os.environ.get("REPRO_FASTPATH", "1")
-FASTPATH_DEFAULT = _TIER_ENV != "0"
-COLUMNAR_DEFAULT = FASTPATH_DEFAULT and _TIER_ENV not in ("scalar",
-                                                          "compiled")
 
 _NO_GAPS = np.empty(0, dtype=np.int64)
 _NO_ADDRS = np.empty(0, dtype=np.int64)
@@ -77,9 +68,8 @@ class Processor:
     __slots__ = ("machine", "node_id", "time", "finished", "killed",
                  "finish_time", "mem_refs", "_stream", "_gaps", "_vaddrs",
                  "_writes", "_index", "_barrier_index", "_waiting_barrier",
-                 "_chunks", "fastpath", "columnar", "_batch_fn",
-                 "_columnar_fn", "_chunk_serial", "_lists_cache",
-                 "_chunk_cols")
+                 "_chunks", "columnar", "_columnar_fn", "_chunk_serial",
+                 "_lists_cache", "_chunk_cols")
 
     def __init__(self, machine: "Machine", node_id: int,
                  stream: Iterator) -> None:
@@ -100,15 +90,13 @@ class Processor:
         self._barrier_index = 0          # how many barriers passed
         self._waiting_barrier = False
         self._chunks = 0                 # stream chunks consumed so far
-        #: Per-processor tier switches (tests flip them to compare):
-        #: ``fastpath`` False selects the reference loop; ``columnar``
-        #: picks between the batch engine and the scalar fast path.
-        self.fastpath = FASTPATH_DEFAULT
-        self.columnar = COLUMNAR_DEFAULT
-        self._batch_fn = None
+        #: Execution-tier switch: the columnar batch engine, or (False)
+        #: the reference loop — set only by the oracle tests and the
+        #: perf harness.
+        self.columnar = True
         self._columnar_fn = None
         self._chunk_serial = 0           # bumped whenever _gaps et al. change
-        self._lists_cache = None         # scalar tiers' per-chunk list memo
+        self._lists_cache = None         # reference loop's per-chunk list memo
         self._chunk_cols = None          # columnar engine's per-chunk cache
 
     # -- simulator actor protocol ------------------------------------------
@@ -134,9 +122,9 @@ class Processor:
         self.killed = True
 
     def invalidate_fastpath(self) -> None:
-        """Drop the compiled batch closures so machine state is re-read.
+        """Drop the compiled batch closure so machine state is re-read.
 
-        The closures capture machine invariants — including the tracer
+        The closure captures machine invariants — including the tracer
         — at bind time; anything that changes them after a batch has
         run (``Machine.install_tracer``) must invalidate so the next
         batch re-binds against the new state.  The columnar engine may
@@ -149,7 +137,6 @@ class Processor:
             if cache.sync_hook is not None:
                 cache.sync_hook()
                 cache.sync_hook = None
-        self._batch_fn = None
         self._columnar_fn = None
         self._chunk_cols = None
 
@@ -161,7 +148,7 @@ class Processor:
         The workload stream is a pure deterministic generator, so its
         position is fully described by the number of chunks consumed —
         :meth:`restore` rebuilds the stream and fast-forwards it.  The
-        compiled fast-path closure and its batch-local counters need no
+        compiled batch closure and its batch-local counters need no
         capture: counters are flushed to the shared statistics at every
         batch boundary, and snapshots are only taken between batches.
         """
@@ -196,7 +183,6 @@ class Processor:
         self._barrier_index = state["barrier_index"]
         self._waiting_barrier = state["waiting_barrier"]
         self._chunks = state["chunks"]
-        self._batch_fn = None
         self._columnar_fn = None
         self._chunk_cols = None
         self._lists_cache = None
@@ -223,31 +209,17 @@ class Processor:
     # -- execution ---------------------------------------------------------------
 
     def _run_batch(self) -> Optional[int]:
-        if not self.fastpath:
+        if not self.columnar:
             return self._run_batch_reference()
-        if self.columnar:
-            col_fn = self._columnar_fn
-            if col_fn is None:
-                col_fn = bind_columnar(self)
-                if col_fn is None:       # unsupported geometry
-                    self.columnar = False
-                else:
-                    self._columnar_fn = col_fn
-            if col_fn is not None:
-                return col_fn()
-        batch_fn = self._batch_fn
-        if batch_fn is None:
-            batch_fn = self._bind_fastpath()
-            if batch_fn is None:         # unsupported geometry
-                self.fastpath = False
-                return self._run_batch_reference()
-            self._batch_fn = batch_fn
-        return batch_fn()
+        col_fn = self._columnar_fn
+        if col_fn is None:
+            col_fn = self._columnar_fn = bind_columnar(self)
+        return col_fn()
 
     def _chunk_lists(self) -> tuple:
         """The in-flight chunk as plain Python lists, memoized per chunk.
 
-        The scalar tiers iterate references one at a time, where list
+        The reference loop iterates one reference at a time, where list
         indexing is several times faster than numpy scalar indexing —
         and plain ints keep ``self.time`` JSON-serializable.  The chunk
         columns themselves stay numpy (the columnar contract); this
@@ -266,213 +238,8 @@ class Processor:
         self._lists_cache = (serial, lists)
         return lists
 
-    def _bind_fastpath(self):
-        """Compile the inlined reference pipeline for this processor.
-
-        Every invariant of the machine (cache-set dicts, page table,
-        index parameters, latencies) is captured once in closure cells,
-        so the per-reference loop runs on locals only.  Returns ``None``
-        when the geometry rules out inline indexing (non-power-of-two
-        line size), in which case the reference loop is used.
-        """
-        machine = self.machine
-        config = machine.config
-        hierarchy = machine.nodes[self.node_id].hierarchy
-        l1, l2 = hierarchy.l1, hierarchy.l2
-        l1_shift, l1_nsets, l1_groups = l1.index_params()
-        l2_shift, l2_nsets, l2_groups = l2.index_params()
-        if l1_shift is None or l2_shift is None:
-            return None
-        # l1 and l2 share the line size, hence one line-number shift.
-        line_shift = l2_shift
-        l1_sets = l1.raw_sets()
-        l2_sets = l2.raw_sets()
-        l1_assoc = l1.assoc
-        space = machine.addr_space
-        page_get = space._page_table.get
-        allocate = space._allocate
-        in_page_mask = space._line_in_page_mask
-        offset_bits = space._offset_bits
-        proto_read = machine.protocol.read
-        proto_write = machine.protocol.write
-        # Host-time tier split (docs/OBSERVABILITY.md): with a profiler
-        # installed, the directory-protocol fallout calls are bracketed
-        # by perf_counter reads into the profiler's per-node fallout
-        # cell.  Resolved at bind time like the tracer hook, so an
-        # unprofiled run keeps the raw bound methods and pays nothing;
-        # Machine.install_profiler invalidates the closure to re-bind.
-        if machine.profiler is not None:
-            proto_read, proto_write = timed_protocol(
-                proto_read, proto_write,
-                machine.profiler.fallout_cell(self.node_id))
-        write_value = hierarchy.write_value
-        next_store = machine.next_store_value
-        # The inlined store-counter bumps below must honor the
-        # test-only perturbation exactly like next_store_value does,
-        # or the three tiers would disagree under REPRO_PERTURB_STORE.
-        perturb_store = machine.perturb_store
-        l1_hit_ns = config.l1_hit_ns
-        l2_hit_ns = config.l2_hit_ns
-        quantum = config.batch_quantum_ns
-        overlap = config.miss_overlap
-        node_id = self.node_id
-        MOD, EXC, SHA = MODIFIED, EXCLUSIVE, SHARED
-        # The mem-category hook is resolved once at bind time: when the
-        # tracer is off (or filters out "mem"), trace_mem is a plain
-        # False and the loop below never touches tracing state at all —
-        # the zero-cost-when-off guarantee the throughput benchmark
-        # pins.  Machine.install_tracer invalidates the closure so a
-        # later-installed tracer re-binds with trace_mem recomputed.
-        tracer = machine.tracer
-        trace_mem = tracer.enabled and (tracer.categories is None
-                                        or "mem" in tracer.categories)
-        emit = tracer.emit
-        node_bytes = space._node_bytes
-        home_lo = node_id * node_bytes
-        home_hi = home_lo + node_bytes
-
-        def run_batch() -> Optional[int]:
-            t = self.time
-            deadline = t + quantum
-            gaps, vaddrs, writes = self._chunk_lists()
-            i = self._index
-            n = len(vaddrs)
-            refs = l1h = l1m = l2h = l2m = silent = remote = fills = 0
-            while True:
-                if i >= n:
-                    # Flush local counters and state before the stream
-                    # advances: _next_chunk may cross the warmup marker,
-                    # which resets every statistic machine-wide.
-                    if trace_mem and refs:
-                        emit(t, "mem", "mem.batch", node=node_id,
-                             refs=refs, l1_hits=l1h + fills, l1_misses=l1m,
-                             l2_hits=l2h, l2_misses=l2m, remote=remote)
-                    self.mem_refs += refs
-                    l1.hits += l1h
-                    l1.misses += l1m
-                    l2.hits += l2h
-                    l2.misses += l2m
-                    hierarchy.silent_upgrades += silent
-                    refs = l1h = l1m = l2h = l2m = silent = remote = \
-                        fills = 0
-                    self.time = t
-                    self._index = i
-                    outcome = self._next_chunk()
-                    if outcome is not None:
-                        return outcome if outcome >= 0 else None
-                    t = self.time
-                    gaps, vaddrs, writes = self._chunk_lists()
-                    i = self._index
-                    n = len(vaddrs)
-                    continue
-                t += gaps[i]
-                vaddr = vaddrs[i]
-                is_write = writes[i]
-                i += 1
-                refs += 1
-
-                # Translate (first-touch allocation on the rare path).
-                base = page_get(vaddr >> offset_bits)
-                if base is None:
-                    base = allocate(vaddr >> offset_bits, node_id)
-                line_addr = base + (vaddr & in_page_mask)
-
-                # L2 lookup with LRU refresh (== SetAssocCache.lookup).
-                line_no = line_addr >> line_shift
-                if l2_groups:
-                    s2 = l2_sets[(line_no & 63)
-                                 + (((((line_no >> 6) * 2654435761) >> 12)
-                                     % l2_groups) << 6)]
-                else:
-                    s2 = l2_sets[line_no % l2_nsets]
-                line = s2.pop(line_addr, None)
-                if line is not None:
-                    s2[line_addr] = line
-                    l2h += 1
-                else:
-                    l2m += 1
-
-                # L1 tag-filter touch (== TagFilter.touch).
-                if l1_groups:
-                    s1 = l1_sets[(line_no & 63)
-                                 + (((((line_no >> 6) * 2654435761) >> 12)
-                                     % l1_groups) << 6)]
-                else:
-                    s1 = l1_sets[line_no % l1_nsets]
-                if line_addr in s1:
-                    del s1[line_addr]
-                    s1[line_addr] = None
-                    l1h += 1
-                    l1_hit = True
-                else:
-                    l1m += 1
-                    if len(s1) >= l1_assoc:
-                        del s1[next(iter(s1))]
-                    s1[line_addr] = None
-                    l1_hit = False
-
-                if line is not None:
-                    if is_write:
-                        state = line.state
-                        if state == SHA:
-                            # Upgrade through the directory.
-                            if trace_mem and not home_lo <= line_addr \
-                                    < home_hi:
-                                remote += 1
-                            self.time = t
-                            done = proto_write(node_id, line_addr, t, True)
-                            t += int((done - t) / overlap)
-                            write_value(line_addr, next_store())
-                        else:
-                            if state == EXC:
-                                silent += 1
-                            line.state = MOD
-                            sc = machine._store_counter + 1
-                            machine._store_counter = sc
-                            line.value = (sc if sc != perturb_store
-                                          else sc + (1 << 32))
-                            t += l1_hit_ns if l1_hit else l2_hit_ns
-                    else:
-                        t += l1_hit_ns if l1_hit else l2_hit_ns
-                else:
-                    # Full miss: directory transaction, overlap-scaled.
-                    if trace_mem:
-                        # The fill below touches the L1 filter directly
-                        # (always a hit: the tag was just inserted), so
-                        # the batch's L1 numbers mirror TagFilter.hits
-                        # exactly — the flush arithmetic must not count
-                        # it twice.
-                        fills += 1
-                        if not home_lo <= line_addr < home_hi:
-                            remote += 1
-                    self.time = t
-                    if is_write:
-                        done = proto_write(node_id, line_addr, t, False)
-                    else:
-                        done = proto_read(node_id, line_addr, t)
-                    t += int((done - t) / overlap)
-                    if is_write:
-                        write_value(line_addr, next_store())
-
-                if t >= deadline:
-                    if trace_mem and refs:
-                        emit(t, "mem", "mem.batch", node=node_id,
-                             refs=refs, l1_hits=l1h + fills, l1_misses=l1m,
-                             l2_hits=l2h, l2_misses=l2m, remote=remote)
-                    self.mem_refs += refs
-                    l1.hits += l1h
-                    l1.misses += l1m
-                    l2.hits += l2h
-                    l2.misses += l2m
-                    hierarchy.silent_upgrades += silent
-                    self.time = t
-                    self._index = i
-                    return t
-
-        return run_batch
-
     def _run_batch_reference(self) -> Optional[int]:
-        """The original layered loop; the fast path's behavioural oracle."""
+        """The original layered loop; the columnar engine's oracle."""
         machine = self.machine
         config = machine.config
         hierarchy = machine.nodes[self.node_id].hierarchy
@@ -553,7 +320,7 @@ class Processor:
         _tag, gaps, vaddrs, writes = chunk
         # The chunk columns stay numpy arrays end-to-end (the columnar
         # contract): the batch engine consumes them directly, and the
-        # scalar tiers materialize plain lists lazily via _chunk_lists.
+        # reference loop materializes plain lists lazily via _chunk_lists.
         self._gaps = np.asarray(gaps, dtype=np.int64)
         self._vaddrs = np.asarray(vaddrs, dtype=np.int64)
         self._writes = np.asarray(writes, dtype=bool)

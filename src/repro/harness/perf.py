@@ -4,8 +4,8 @@ Measures the simulator's end-to-end speed on the standard exhibit —
 the ``lu`` analog at scale 0.25 on the bench machine — and the sweep
 executor's parallel speedup, and emits a machine-readable report
 (``benchmarks/results/BENCH_throughput.json``) with each exhibit's
-refs/sec and its speedup against the *recorded* scalar-tier baseline,
-plus the columnar-vs-scalar tier comparison and its enforced floor.
+refs/sec and its speedup against the *recorded* baseline, plus the
+columnar-vs-reference-loop tier comparison and its enforced floor.
 Consumers:
 
 * ``benchmarks/test_simulator_throughput.py`` (``pytest -m perf``) —
@@ -32,9 +32,10 @@ from repro.machine.config import MachineConfig
 from repro.workloads.registry import get_workload
 
 #: refs/sec recorded in ``benchmarks/results/BENCH_throughput.json``
-#: by the compiled *scalar* fast path on the bench host, before the
-#: columnar batch engine landed.  (The pre-fast-path PR-1 seed recorded
-#: 319,002 refs/s in ``results/simulator_throughput.txt``.)
+#: by the compiled *scalar* fast path (a since-deleted tier) on the
+#: bench host, before the columnar batch engine landed.  (The
+#: pre-fast-path PR-1 seed recorded 319,002 refs/s in
+#: ``results/simulator_throughput.txt``.)
 RECORDED_BASELINE_REFS_PER_SEC = 752_941
 
 #: Fraction of the recorded baseline below which the harness *fails*
@@ -60,15 +61,18 @@ CACHE_HIT_MIN_SPEEDUP = 5.0
 #: exhibit (docs/SNAPSHOTS.md).
 CAMPAIGN_MIN_SPEEDUP = 5.0
 
-#: Hard floor on the columnar batch engine's speedup over the scalar
-#: fast path on the standard exhibit (same process, same rounds, so
-#: host noise largely cancels).  The *enforced* floor says "the
-#: default tier is never a pessimization"; the measured advantage on
-#: the bench host is ~1.1-1.25x and the ROADMAP's aspirational target
-#: is 3x+ (docs/PERFORMANCE.md discusses the gap: the directory
-#: protocol's scalar fallout path bounds the achievable speedup on
-#: miss-heavy exhibits).
-COLUMNAR_MIN_SPEEDUP = 1.02
+#: Hard floor on the columnar batch engine's speedup over the layered
+#: reference loop on the standard exhibit (same process, tiers
+#: alternating within each round, so host drift hits both equally).
+#: Set from measurement on a shared 2-core x86-64 Linux container at
+#: the CI's ``--quick`` scale (0.1, one round per tier): 30
+#: alternating pairs gave columnar/reference min 1.12x, quartiles
+#: 1.28x / 1.42x / 1.67x, max 2.05x; best-of-3 at scale 0.25 gave
+#: 1.58x, 2.13x, 2.17x and 2.25x.  The floor sits below every measured
+#: quick-scale pair, so it fails when the default tier stops beating
+#: the oracle loop, not on host noise (docs/PERFORMANCE.md §1b: the directory
+#: protocol's per-reference fallout bounds the speedup).
+COLUMNAR_MIN_SPEEDUP = 1.05
 
 #: Hard ceiling on the *disabled* observability tax: a machine with
 #: the full hook surface installed but turned off (disabled tracer,
@@ -88,9 +92,12 @@ DIGEST_OVERHEAD_MAX = 0.05
 REPORT_SCHEMA = 1
 
 
-def _run_exhibit(variant: str, scale: float) -> Dict[str, float]:
+def _run_exhibit(variant: str, scale: float,
+                 columnar: bool = True) -> Dict[str, float]:
     machine = build_machine(variant, machine_config=MachineConfig.bench())
     machine.attach_workload(get_workload("lu", scale=scale))
+    for proc in machine.processors:
+        proc.columnar = columnar
     start = time.perf_counter()
     machine.run()
     wall = time.perf_counter() - start
@@ -245,38 +252,33 @@ def measure_campaign_fork_speedup(rounds: int = 2) -> Dict[str, float]:
 
 def measure_columnar_speedup(rounds: int = 3,
                              scale: float = 0.25) -> Dict[str, float]:
-    """Columnar-vs-scalar refs/sec on the standard exhibit.
+    """Columnar-vs-reference-loop refs/sec on the standard exhibit.
 
-    Runs the baseline exhibit once per execution tier — the compiled
-    scalar fast path and the columnar batch engine — by overriding the
-    processor tier defaults around machine construction (the in-process
-    equivalent of ``REPRO_FASTPATH=scalar``).  Both tiers use the same
-    best-of-``rounds`` protocol in the same process, so the reported
-    speedup is robust to host noise.  Gated in :func:`hard_failures`
-    by :data:`COLUMNAR_MIN_SPEEDUP`.
+    Runs the baseline exhibit on each execution tier — the layered
+    reference loop and the columnar batch engine — with the tier set
+    per processor after the workload is attached.  Rounds alternate
+    between the two tiers so host drift hits both equally; both take
+    best-of-``rounds``.  Gated in :func:`hard_failures` by
+    :data:`COLUMNAR_MIN_SPEEDUP`.
     """
-    from repro.cpu import processor as processor_mod
-
-    saved = (processor_mod.FASTPATH_DEFAULT,
-             processor_mod.COLUMNAR_DEFAULT)
-    tiers: Dict[str, Dict[str, float]] = {}
-    try:
-        for tier, columnar in (("scalar", False), ("columnar", True)):
-            processor_mod.FASTPATH_DEFAULT = True
-            processor_mod.COLUMNAR_DEFAULT = columnar
-            tiers[tier] = measure_exhibit("baseline", scale=scale,
-                                          rounds=rounds)
-    finally:
-        (processor_mod.FASTPATH_DEFAULT,
-         processor_mod.COLUMNAR_DEFAULT) = saved
-    scalar_rate = tiers["scalar"]["refs_per_sec"]
-    columnar_rate = tiers["columnar"]["refs_per_sec"]
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
+    walls: Dict[str, List[float]] = {"reference": [], "columnar": []}
+    refs = 0
+    for _ in range(rounds):
+        for tier, runs in walls.items():
+            run = _run_exhibit("baseline", scale,
+                               columnar=tier == "columnar")
+            runs.append(run["wall_seconds"])
+            refs = run["refs"]
+    reference_rate = refs / min(walls["reference"])
+    columnar_rate = refs / min(walls["columnar"])
     return {
         "rounds": rounds,
         "scale": scale,
-        "scalar_refs_per_sec": scalar_rate,
+        "reference_refs_per_sec": reference_rate,
         "columnar_refs_per_sec": columnar_rate,
-        "speedup": columnar_rate / scalar_rate if scalar_rate else 0.0,
+        "speedup": columnar_rate / reference_rate,
         "min_speedup": COLUMNAR_MIN_SPEEDUP,
     }
 
@@ -515,9 +517,9 @@ def hard_failures(report: Dict) -> List[str]:
     if columnar and columnar["speedup"] < COLUMNAR_MIN_SPEEDUP:
         failures.append(
             f"columnar: batch engine only {columnar['speedup']:.2f}x "
-            f"the scalar fast path "
+            f"the reference loop "
             f"({columnar['columnar_refs_per_sec']:,.0f} vs "
-            f"{columnar['scalar_refs_per_sec']:,.0f} refs/s, "
+            f"{columnar['reference_refs_per_sec']:,.0f} refs/s, "
             f"< {COLUMNAR_MIN_SPEEDUP:.2f}x floor)")
     obs = report.get("obs")
     if obs and obs["overhead_fraction"] > OBS_OVERHEAD_MAX:
@@ -579,7 +581,8 @@ def format_report(report: Dict) -> str:
     if columnar:
         lines.append(
             f"  columnar     {columnar['columnar_refs_per_sec']:>10,.0f} "
-            f"refs/s vs {columnar['scalar_refs_per_sec']:,.0f} scalar "
+            f"refs/s vs {columnar['reference_refs_per_sec']:,.0f} "
+            f"reference loop "
             f"({columnar['speedup']:.2f}x, floor "
             f"{columnar['min_speedup']:.2f}x)")
     obs = report.get("obs")

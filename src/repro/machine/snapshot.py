@@ -20,11 +20,10 @@ What is *not* serialized, and why it is safe:
 * **Workload streams.**  Streams are pure functions of (workload spec,
   proc id); each processor records how many chunks it consumed and
   restore replays that many (:meth:`repro.workloads.base.Workload.replay_stream`).
-* **Compiled fast paths.**  Batch closures (both the scalar fast path
-  and the columnar batch engine) flush their local counters at chunk
-  and deadline boundaries — exactly the points where the machine is
-  quiescent enough to snapshot — and are re-compiled lazily after a
-  restore.  The columnar engine additionally caches derived columns
+* **Compiled batch closures.**  The columnar batch engine flushes its
+  local counters at chunk and deadline boundaries — exactly the points
+  where the machine is quiescent enough to snapshot — and is
+  re-compiled lazily after a restore.  It also caches derived columns
   (line addresses, L1 stack distances, L2 purity windows) and defers
   L2 LRU refreshes; cache ``sync_hook``s force those pending refreshes
   into the real dicts before ``snapshot()`` reads them, and ``restore``
@@ -96,7 +95,7 @@ def restore_machine(machine: "Machine", state: Dict) -> None:
     The machine must have been built with the same configs and have the
     same workload attached (so the actor registry and reserved-region
     geometry match).  Mutates every component in place and invalidates
-    the processors' compiled fast paths.
+    the processors' compiled batch closures.
     """
     version = state.get("version")
     if version != SNAPSHOT_VERSION:

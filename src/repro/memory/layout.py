@@ -344,8 +344,8 @@ class AddressSpace:
     def restore(self, state: Dict) -> None:
         """Reinstate a :meth:`snapshot`.
 
-        The page table is mutated in place: the compiled reference fast
-        path binds ``_page_table.get`` once, so the dict identity must
+        The page table is mutated in place: the columnar batch engine
+        binds ``_page_table.get`` once, so the dict identity must
         survive a restore (docs/SNAPSHOTS.md).
         """
         self._page_table.clear()

@@ -27,12 +27,12 @@ Key shapes preserved:
   Radiosity/Raytrace).
 
 All twelve analogs inherit the synthetic generator's columnar
-contract, and all twelve are pinned bit-identical across the three
-execution tiers (reference loop / scalar fast path / columnar batch
-engine) by the tier oracle in ``tests/test_columnar.py`` — the analog
-set doubles as the equivalence corpus because it spans the hit-rate
-spectrum the columnar engine's miss-fallout segmentation must handle
-(water-nsq's ~0% misses through ocean's ~2%).
+contract, and all twelve are pinned bit-identical across the two
+execution tiers (reference loop / columnar batch engine) by the tier
+oracle in ``tests/test_columnar.py`` — the analog set doubles as the
+equivalence corpus because it spans the hit-rate spectrum the columnar
+engine's miss-fallout segmentation must handle (water-nsq's ~0% misses
+through ocean's ~2%).
 """
 
 from __future__ import annotations

@@ -19,8 +19,8 @@ the arrays handed out by :class:`TraceWorkload` are the loaded ``.npz``
 columns themselves, never copied or mutated, with dtypes normalized at
 record time (int64 gaps/addresses, bool writes).  A recorded trace is
 therefore a valid input to every execution tier, and a record -> replay
-round-trip is bit-identical to the live run under the reference loop,
-the scalar fast path, and the columnar batch engine alike
+round-trip is bit-identical to the live run under the reference loop
+and the columnar batch engine alike
 (tests/test_columnar.py::TestTracefileRoundtrip).
 """
 

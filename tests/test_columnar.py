@@ -1,11 +1,11 @@
-"""Columnar-tier oracle: three execution tiers, one behaviour.
+"""Columnar-tier oracle: two execution tiers, one behaviour.
 
-``REPRO_FASTPATH`` selects among three execution tiers — ``0`` is the
-layered reference loop, ``scalar`` the compiled per-reference fast
-path, and the default the columnar batch engine (``repro.cpu.
-columnar``).  The tiers are performance levels of *one* simulator:
-every observable — cache counters, LRU order, memory contents,
-checkpoint history, trace output — must be bit-identical across them.
+Each processor runs on one of two execution tiers: the columnar batch
+engine (``repro.cpu.columnar``, the default) or, with its ``columnar``
+flag cleared, the layered reference loop kept verbatim as the oracle.
+The tiers are performance levels of *one* simulator: every observable
+— cache counters, LRU order, memory contents, checkpoint history,
+trace output — must be bit-identical across them.
 These tests enforce that oracle for every Splash-2 analog and every
 ReVive variant, plus the columnar contracts that ride on it: trace
 record -> replay round-trips, mid-run snapshot/restore (including a
@@ -30,7 +30,7 @@ from repro.workloads.tracefile import TraceWorkload, record_trace
 NODES = 4
 SCALE = 0.02
 INTERVAL_NS = 50_000
-TIERS = ("reference", "scalar", "columnar")
+TIERS = ("reference", "columnar")
 REVIVE_VARIANTS = ("cp_parity", "cpinf_parity", "cp_mirroring",
                    "cpinf_mirroring")
 
@@ -46,7 +46,6 @@ def horizon(variant: str):
 def set_tier(machine, tier: str) -> None:
     assert tier in TIERS
     for proc in machine.processors:
-        proc.fastpath = tier != "reference"
         proc.columnar = tier == "columnar"
 
 
@@ -125,17 +124,15 @@ class TestTierOracle:
                                   trace=True)
         ref_trace = non_mem_trace(ref_ev)
         assert ref_trace, "reference run emitted no trace events"
-        for tier in ("scalar", "columnar"):
-            fp, ev = run_tier(app, "cp_parity", tier, trace=True)
-            assert fp == ref_fp, f"{app}: {tier} tier diverged"
-            assert non_mem_trace(ev) == ref_trace, \
-                f"{app}: {tier} tier trace differs"
+        fp, ev = run_tier(app, "cp_parity", "columnar", trace=True)
+        assert fp == ref_fp, f"{app}: columnar tier diverged"
+        assert non_mem_trace(ev) == ref_trace, \
+            f"{app}: columnar tier trace differs"
 
     @pytest.mark.parametrize("variant",
                              ("baseline",) + REVIVE_VARIANTS)
     def test_every_variant_bit_identical_across_tiers(self, variant):
         fps = {tier: run_tier("lu", variant, tier)[0] for tier in TIERS}
-        assert fps["scalar"] == fps["reference"], variant
         assert fps["columnar"] == fps["reference"], variant
 
 

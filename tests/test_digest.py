@@ -50,7 +50,6 @@ def run_digested(app="lu", variant="cp_parity", perturb=None,
     machine = build(app, variant, perturb)
     if tier is not None:
         for proc in machine.processors:
-            proc.fastpath = tier != "reference"
             proc.columnar = tier == "columnar"
     machine.install_digests(DigestRecorder(None))
     machine.record_digest(0)
@@ -173,12 +172,11 @@ class TestRunInvariance:
         assert len(first) >= 2, "run too short to exercise the chain"
         assert first == second
 
-    def test_chain_is_identical_across_all_three_tiers(self):
+    def test_chain_is_identical_across_tiers(self):
         reference = run_digested(tier="reference")
-        scalar = run_digested(tier="scalar")
         columnar = run_digested(tier="columnar")
         assert len(reference) >= 2
-        assert reference == scalar == columnar
+        assert reference == columnar
 
     def test_serial_and_parallel_sweeps_merge_identically(self):
         from repro.harness.parallel import run_sweep

@@ -1,11 +1,12 @@
-"""Fast path vs reference loop: behavioural equivalence.
+"""Columnar tier vs reference loop: behavioural equivalence.
 
-``Processor._run_batch`` inlines translation, L1/L2 probing, and the
-hit-path store into one bound-local loop; the original layered loop is
-kept as ``_run_batch_reference``.  These tests run the same workload
-through both and require *bit-identical* machines afterwards: times,
-reference counts, every cache counter, memory contents, logs and
-checkpoint history.  Any divergence is a fast-path bug by definition.
+``Processor._run_batch`` hands each activation to the columnar batch
+engine (``repro.cpu.columnar``); the original layered loop is kept as
+``_run_batch_reference`` and selected by clearing a processor's
+``columnar`` flag.  These tests run the same workload through both and
+require *bit-identical* machines afterwards: times, reference counts,
+every cache counter, memory contents, logs and checkpoint history.
+Any divergence is a columnar-engine bug by definition.
 """
 
 import pytest
@@ -13,14 +14,16 @@ import pytest
 from conftest import ToyWorkload, build_tiny_machine
 
 from repro.cpu.processor import Processor
+from repro.machine.config import MachineConfig
+from repro.machine.system import Machine
 
 
-def _run(fastpath: bool, revive: bool = True, rounds: int = 4,
+def _run(columnar: bool, revive: bool = True, rounds: int = 4,
          **revive_overrides):
     machine = build_tiny_machine(revive=revive, **revive_overrides)
     machine.attach_workload(ToyWorkload(rounds=rounds))
     for proc in machine.processors:
-        proc.fastpath = fastpath
+        proc.columnar = columnar
     machine.run()
     return machine
 
@@ -57,8 +60,8 @@ class TestEquivalence:
     def test_bit_identical_machines(self, revive):
         fast = _run(True, revive=revive)
         slow = _run(False, revive=revive)
-        assert all(p.fastpath for p in fast.processors)
-        assert not any(p.fastpath for p in slow.processors)
+        assert all(p.columnar for p in fast.processors)
+        assert not any(p.columnar for p in slow.processors)
         assert _fingerprint(fast) == _fingerprint(slow)
 
     def test_bit_identical_under_mirroring(self):
@@ -74,27 +77,23 @@ class TestEquivalence:
 
 
 class TestFallback:
-    def test_env_flag_disables_fastpath(self, monkeypatch):
-        import repro.cpu.processor as processor_module
-        monkeypatch.setattr(processor_module, "FASTPATH_DEFAULT", False)
-        machine = build_tiny_machine()
-        machine.attach_workload(ToyWorkload(rounds=1))
-        assert not any(p.fastpath for p in machine.processors)
-        machine.run()
-        assert all(p.mem_refs > 0 for p in machine.processors
-                   if not p.killed)
+    """The columnar engine binds on every validated geometry."""
 
     def test_fastpath_binding_is_lazy_and_cached(self):
-        machine = build_tiny_machine()
-        machine.attach_workload(ToyWorkload(rounds=1))
-        proc = machine.processors[0]
-        assert proc._batch_fn is None
-        assert proc._columnar_fn is None
-        machine.run()
-        if proc.columnar:
-            assert proc._columnar_fn is not None
-        elif proc.fastpath:
-            assert proc._batch_fn is not None
+        # Every validated geometry (MachineConfig rejects
+        # non-power-of-two line sizes) inlines the columnar set
+        # indexing, so no preset demotes a processor to another tier.
+        for preset in (MachineConfig.tiny, MachineConfig.bench,
+                       MachineConfig):
+            config = preset()
+            machine = Machine(config)
+            machine.attach_workload(ToyWorkload(
+                n_procs=config.n_nodes, rounds=1, refs_per_round=200))
+            assert all(p._columnar_fn is None
+                       for p in machine.processors)
+            machine.run()
+            assert all(p.columnar and p._columnar_fn is not None
+                       for p in machine.processors), preset.__name__
 
     def test_processor_slots(self):
         machine = build_tiny_machine()

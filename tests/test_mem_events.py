@@ -1,4 +1,4 @@
-"""Tests for the fast path's ``mem`` trace category.
+"""Tests for the columnar engine's ``mem`` trace category.
 
 ``mem.batch`` events are emitted at compiled-batch flush boundaries
 and must reconcile exactly with the per-node cache counters and
@@ -11,26 +11,19 @@ closure so the new tracer's hooks take effect.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.cpu.processor import FASTPATH_DEFAULT
 from repro.obs import RingBufferSink, Tracer, lint_events
+from repro.workloads.registry import get_workload
 from tests.conftest import ToyWorkload, build_tiny_machine
 
-fastpath_only = pytest.mark.skipif(
-    not FASTPATH_DEFAULT,
-    reason="mem.batch events come from the compiled fast path "
-           "(REPRO_FASTPATH=0 disables it)")
 
-
-def traced_toy_run(categories=None, fastpath=True, rounds=2):
+def traced_toy_run(categories=None, columnar=True, rounds=2):
     sink = RingBufferSink(capacity=1 << 20)
     machine = build_tiny_machine()
     machine.install_tracer(Tracer(sink, categories=categories))
     machine.attach_workload(ToyWorkload(rounds=rounds))
-    if not fastpath:               # processors exist once attached
+    if not columnar:               # processors exist once attached
         for proc in machine.processors:
-            proc.fastpath = False
+            proc.columnar = False
     machine.run()
     return machine, sink.events()
 
@@ -47,7 +40,6 @@ def split_at_warmup(events):
 
 
 class TestMemBatchEvents:
-    @fastpath_only
     def test_batches_present_and_schema_clean(self):
         _machine, events = traced_toy_run()
         batches = mem_batches(events)
@@ -55,7 +47,6 @@ class TestMemBatchEvents:
         assert all(e["cat"] == "mem" for e in batches)
         assert lint_events(events) == []
 
-    @fastpath_only
     def test_post_warmup_sums_match_counters_bit_for_bit(self):
         machine, events = traced_toy_run()
         steady = mem_batches(split_at_warmup(events))
@@ -73,7 +64,6 @@ class TestMemBatchEvents:
             assert total(proc.node_id, "refs") == proc.mem_refs
         assert sum(e["refs"] for e in steady) == machine.total_mem_refs()
 
-    @fastpath_only
     def test_remote_counts_are_bounded_and_present(self):
         _machine, events = traced_toy_run()
         batches = mem_batches(events)
@@ -83,7 +73,7 @@ class TestMemBatchEvents:
         assert sum(e["remote"] for e in batches) > 0
 
     def test_reference_loop_emits_no_mem_events(self):
-        _machine, events = traced_toy_run(fastpath=False)
+        _machine, events = traced_toy_run(columnar=False)
         assert mem_batches(events) == []
         assert events                       # other categories still flow
 
@@ -96,32 +86,73 @@ class TestMemBatchEvents:
 class TestInstallTracerRebindsFastpath:
     """Satellite regression: no stale compiled closures after install."""
 
-    def test_invalidate_fastpath_drops_compiled_batch_fn(self):
-        machine = build_tiny_machine()
-        machine.attach_workload(ToyWorkload())
-        proc = machine.processors[0]
-        proc._batch_fn = object()           # stand-in for a compiled body
-        proc.invalidate_fastpath()
-        assert proc._batch_fn is None
+    def test_invalidate_fastpath_flushes_columnar(self):
+        # Mid-run, the columnar closure holds deferred L1/L2 state
+        # behind the caches' sync hooks.  Invalidating must materialize
+        # that state before dropping the closure: the raw cache dicts
+        # then equal what an observer of an identical twin sees (its
+        # snapshot fires the hooks), and the run ends bit-identical to
+        # an uninterrupted one.
+        def build():
+            machine = build_tiny_machine(revive=False)
+            machine.attach_workload(get_workload("lu", scale=0.02,
+                                                 n_procs=4))
+            return machine
 
-    @fastpath_only
+        def raw_lru_order(machine):
+            return [[list(cache_set) for cache_set in
+                     n.hierarchy.l1.raw_sets() + n.hierarchy.l2.raw_sets()]
+                    for n in machine.nodes]
+
+        def caches(machine):
+            return [n.hierarchy.snapshot() for n in machine.nodes]
+
+        def final_state(machine):
+            return (machine.simulator.now, machine._store_counter,
+                    [p.time for p in machine.processors],
+                    [p.mem_refs for p in machine.processors],
+                    caches(machine),
+                    [dict(n.memory.lines()) for n in machine.nodes])
+
+        uninterrupted = build()
+        uninterrupted.run()
+        machine, twin = build(), build()
+        machine.run(until=20_000)
+        twin.run(until=20_000)
+        assert not machine.all_finished
+
+        pending = raw_lru_order(machine)
+        for proc in machine.processors:
+            hier = machine.nodes[proc.node_id].hierarchy
+            assert proc._columnar_fn is not None
+            assert hier.l1.sync_hook is not None
+            assert hier.l2.sync_hook is not None
+            proc.invalidate_fastpath()
+            assert hier.l1.sync_hook is None
+            assert hier.l2.sync_hook is None
+            assert proc._columnar_fn is None
+        # The pause left reorders deferred; invalidation applied them.
+        assert raw_lru_order(machine) != pending
+        assert caches(machine) == caches(twin)
+
+        machine.run()
+        assert final_state(machine) == final_state(uninterrupted)
+
     def test_tracer_installed_mid_run_reaches_fast_path(self):
         machine = build_tiny_machine()
         machine.attach_workload(ToyWorkload(rounds=3))
         machine.run(until=5_000)            # compile untraced closures
         assert not machine.all_finished
-        assert any(p._batch_fn is not None or p._columnar_fn is not None
+        assert any(p._columnar_fn is not None
                    for p in machine.processors)
 
         sink = RingBufferSink(capacity=1 << 20)
         machine.install_tracer(Tracer(sink))
-        assert all(p._batch_fn is None and p._columnar_fn is None
-                   for p in machine.processors)
+        assert all(p._columnar_fn is None for p in machine.processors)
 
         machine.run()
         assert mem_batches(sink.events())   # new closure carries the hook
 
-    @fastpath_only
     def test_mid_run_tracer_matches_from_start_counters(self):
         # The rebound closure must keep simulating identically: final
         # machine state equals an identically-configured untraced run.
@@ -153,7 +184,6 @@ class TestZeroCostWhenOffMemHooks:
         machine.run()
         assert machine.tracer.events_emitted == 0
 
-    @fastpath_only
     def test_untraced_and_traced_runs_agree_on_counters(self):
         plain = build_tiny_machine()
         plain.attach_workload(ToyWorkload(rounds=2))

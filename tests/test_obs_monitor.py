@@ -12,7 +12,6 @@ import json
 
 import pytest
 
-from repro.cpu.processor import FASTPATH_DEFAULT
 from repro.obs import (
     LEDGER_VERSION,
     SCHEMA_VERSION,
@@ -332,8 +331,6 @@ class TestLiveRunAgreement:
             machine.checkpointing.checkpoints_committed
         assert verdict["commits"] > 0
 
-    @pytest.mark.skipif(not FASTPATH_DEFAULT,
-                        reason="mem.batch events are fast-path only")
     def test_mem_totals_match_cache_counters_bit_for_bit(self,
                                                          monitored_run):
         machine, suite = monitored_run

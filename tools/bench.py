@@ -46,7 +46,7 @@ def main(argv=None) -> int:
                         help="skip the fault-campaign fork-vs-cold "
                              "measurement (and its gate)")
     parser.add_argument("--no-columnar-bench", action="store_true",
-                        help="skip the columnar-vs-scalar tier "
+                        help="skip the columnar-vs-reference-loop tier "
                              "comparison (and its gate)")
     parser.add_argument("--no-obs-bench", action="store_true",
                         help="skip the disabled-observability overhead "
