@@ -50,8 +50,12 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.core.faults import NodeLossFault, TransientSystemFault
-from repro.core.recovery import RecoveryManager
+from repro.harness.campaign import (
+    WarmupTooShort,
+    _fault_and_recover,
+    run_campaign,
+    warm_machine,
+)
 from repro.harness.reporting import (
     format_table,
     profile_table,
@@ -62,9 +66,9 @@ from repro.harness.runner import (
     DEFAULT_INTERVAL_NS,
     VARIANT_LABELS,
     VARIANTS,
-    build_machine,
     profile_summary,
     run_app,
+    tiny_revive_overrides,
 )
 from repro.machine.config import MachineConfig
 from repro.obs import (
@@ -434,21 +438,26 @@ def _machine_setup(args):
     return MachineConfig.tiny(args.nodes), args.nodes
 
 
+def _trace_categories(args) -> Optional[List[str]]:
+    """The validated ``--trace-categories`` filter (None = all)."""
+    if not args.trace_categories:
+        return None
+    categories = [c.strip() for c in args.trace_categories.split(",")
+                  if c.strip()]
+    unknown = sorted(set(categories) - set(CATEGORIES))
+    if unknown:
+        raise SystemExit(
+            f"unknown trace categories {', '.join(unknown)}; "
+            f"choose from {', '.join(CATEGORIES)}")
+    return categories
+
+
 def _make_tracer(args) -> Optional[Tracer]:
     """Build the file tracer requested by ``--trace``, if any."""
     path = getattr(args, "trace", None) or getattr(args, "out", None)
     if path is None:
         return None
-    categories = None
-    if args.trace_categories:
-        categories = [c.strip() for c in args.trace_categories.split(",")
-                      if c.strip()]
-        unknown = sorted(set(categories) - set(CATEGORIES))
-        if unknown:
-            raise SystemExit(
-                f"unknown trace categories {', '.join(unknown)}; "
-                f"choose from {', '.join(CATEGORIES)}")
-    return Tracer(JsonlFileSink(path), categories=categories)
+    return Tracer(JsonlFileSink(path), categories=_trace_categories(args))
 
 
 def _monitoring_setup(args, tracer, interval_ns, variant):
@@ -463,7 +472,7 @@ def _monitoring_setup(args, tracer, interval_ns, variant):
         return tracer, None
     capacity = None
     if variant != "baseline":
-        capacity = _tiny_revive_overrides(args).get(
+        capacity = tiny_revive_overrides(args.nodes).get(
             "log_bytes_per_node", BENCH_LOG_BYTES)
     monitors = default_monitors(interval_ns=interval_ns,
                                 log_capacity_bytes=capacity)
@@ -519,7 +528,7 @@ def cmd_run(args) -> int:
     tracer = _make_tracer(args)
     tracer, suite = _monitoring_setup(args, tracer, interval, args.variant)
     profiler = Profiler() if args.profile else None
-    overrides = (_tiny_revive_overrides(args)
+    overrides = (tiny_revive_overrides(args.nodes)
                  if args.variant != "baseline" else {})
     result = run_app(args.app, args.variant, scale=args.scale,
                      interval_ns=interval, machine_config=machine_config,
@@ -582,7 +591,7 @@ def cmd_compare(args) -> int:
         result = run_app(args.app, variant, scale=args.scale,
                          interval_ns=interval,
                          machine_config=machine_config, n_procs=n_procs,
-                         **_tiny_revive_overrides(args))
+                         **tiny_revive_overrides(args.nodes))
         rows.append([VARIANT_LABELS[variant],
                      f"{result.execution_time_ns / 1e3:.1f}",
                      f"{100 * result.overhead_vs(base):+.1f}%"])
@@ -604,16 +613,6 @@ def cmd_sweep(args) -> int:
     if args.variants:
         variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     machine_config, n_procs = _machine_setup(args)
-    trace_categories = None
-    if args.trace_categories:
-        trace_categories = [c.strip()
-                            for c in args.trace_categories.split(",")
-                            if c.strip()]
-        unknown = sorted(set(trace_categories) - set(CATEGORIES))
-        if unknown:
-            raise SystemExit(
-                f"unknown trace categories {', '.join(unknown)}; "
-                f"choose from {', '.join(CATEGORIES)}")
     cache_dir = _cache_dir(args)
     sweep = run_sweep(
         args.apps or None, variants,
@@ -621,8 +620,8 @@ def cmd_sweep(args) -> int:
         scale=args.scale, n_procs=n_procs,
         interval_ns=int(args.interval_us * 1000),
         machine_config=machine_config, trace_dir=args.trace_dir,
-        trace_categories=trace_categories, cache_dir=cache_dir,
-        digest=args.digest, **_tiny_revive_overrides(args))
+        trace_categories=_trace_categories(args), cache_dir=cache_dir,
+        digest=args.digest, **tiny_revive_overrides(args.nodes))
     if args.digest and sweep.digest is not None:
         digested = sum(1 for job in sweep.digest["jobs"]
                        if job["digest"] is not None)
@@ -681,8 +680,6 @@ def _fraction_list(raw: str, flag: str) -> List[float]:
 
 def cmd_campaign(args) -> int:
     """``repro campaign``: warm once, fork the fault grid."""
-    from repro.harness.campaign import run_campaign
-
     lost_nodes = []
     for token in args.lost_nodes.split(","):
         token = token.strip().lower()
@@ -707,7 +704,7 @@ def cmd_campaign(args) -> int:
         interval_ns=int(args.interval_us * 1000),
         machine_config=machine_config, cache_dir=_cache_dir(args),
         workers=args.workers, serial=args.serial, cold=args.cold,
-        tracer=tracer, **_tiny_revive_overrides(args))
+        tracer=tracer, **tiny_revive_overrides(args.nodes))
     rows = []
     for outcome in campaign.outcomes:
         lost = ("—" if outcome["lost_node"] is None
@@ -749,6 +746,31 @@ def cmd_campaign(args) -> int:
     return 0
 
 
+def _worst_case_recovery(args, interval, machine_config, n_procs, tracer,
+                         profiler):
+    """Figure 12's worst case on the ``--nodes`` machine.
+
+    Warms past the second commit, loses ``--lost-node`` (or takes a
+    transient fault) 0.8 of an interval later, and recovers to
+    checkpoint 1.  Returns ``(machine, result)``, or None when the run
+    is too short for two checkpoints.
+    """
+    run_kwargs = dict(scale=args.scale, n_procs=n_procs,
+                      interval_ns=interval, machine_config=machine_config,
+                      tracer=tracer, profiler=profiler, debug_snapshots=True,
+                      **tiny_revive_overrides(args.nodes))
+    try:
+        machine = warm_machine(args.app, "cp_parity", run_kwargs, 2)
+    except WarmupTooShort:
+        print("run too short for two checkpoints; raise --scale or "
+              "lower --interval-us", file=sys.stderr)
+        return None
+    _detect, result = _fault_and_recover(
+        machine, {"lost_node": args.lost_node, "detect_fraction": 0.8}, 2,
+        interval)
+    return machine, result
+
+
 def cmd_recover(args) -> int:
     """``repro recover``: fault injection + verified recovery."""
     interval = int(args.interval_us * 1000)
@@ -756,32 +778,11 @@ def cmd_recover(args) -> int:
     tracer = _make_tracer(args)
     tracer, suite = _monitoring_setup(args, tracer, interval, "cp_parity")
     profiler = Profiler() if args.profile else None
-    machine = build_machine("cp_parity", machine_config=machine_config,
-                            interval_ns=interval, tracer=tracer,
-                            profiler=profiler, debug_snapshots=True,
-                            **_tiny_revive_overrides(args))
-    from repro.workloads.registry import get_workload
-
-    machine.attach_workload(get_workload(args.app, scale=args.scale,
-                                         n_procs=n_procs))
-    horizon = 3 * interval
-    while machine.checkpointing.checkpoints_committed < 2:
-        if machine.all_finished:
-            print("run too short for two checkpoints; raise --scale or "
-                  "lower --interval-us", file=sys.stderr)
-            return 2
-        machine.run(until=horizon)
-        horizon += interval
-    detect = machine.checkpointing.commit_times[2] + int(0.8 * interval)
-    machine.run(until=detect)
-
-    if args.lost_node is not None:
-        NodeLossFault(args.lost_node).apply(machine)
-    else:
-        TransientSystemFault().apply(machine)
-    result = RecoveryManager(machine).recover(detect_time=detect,
-                                              lost_node=args.lost_node,
-                                              target_epoch=1)
+    recovered = _worst_case_recovery(args, interval, machine_config,
+                                     n_procs, tracer, profiler)
+    if recovered is None:
+        return 2
+    machine, result = recovered
     mismatches = machine.verify_against_snapshot(result.target_epoch)
     broken = machine.revive.parity.check_all_parity()
     print(format_table(
@@ -807,7 +808,7 @@ def cmd_recover(args) -> int:
                            interval_ns=interval,
                            machine_config=machine_config,
                            lost_node=args.lost_node,
-                           **_tiny_revive_overrides(args)),
+                           **tiny_revive_overrides(args.nodes)),
                       suite, tracer)
     if mismatches or broken:
         print(f"VERIFICATION FAILED: {len(mismatches)} mismatching lines, "
@@ -815,19 +816,6 @@ def cmd_recover(args) -> int:
         return 1
     print("verification: memory bit-exact, parity consistent")
     return 0
-
-
-def _tiny_revive_overrides(args) -> dict:
-    """ReVive overrides sized for a ``--nodes`` tiny machine.
-
-    Delegates to the shared
-    :func:`repro.harness.runner.tiny_revive_overrides` so the CLI and
-    the simulation service derive identical run kwargs — and therefore
-    identical config digests and cache keys — for the same request.
-    """
-    from repro.harness.runner import tiny_revive_overrides
-
-    return tiny_revive_overrides(args.nodes)
 
 
 def cmd_trace(args) -> int:
@@ -846,29 +834,11 @@ def cmd_trace(args) -> int:
     tracer, suite = _monitoring_setup(args, tracer, interval, "cp_parity")
     trace_path = args.trace or args.out
     profiler = Profiler() if args.profile else None
-    machine = build_machine("cp_parity", machine_config=machine_config,
-                            interval_ns=interval, tracer=tracer,
-                            profiler=profiler, debug_snapshots=True,
-                            **_tiny_revive_overrides(args))
-    from repro.workloads.registry import get_workload
-
-    machine.attach_workload(get_workload(args.app, scale=args.scale,
-                                         n_procs=n_procs))
-    horizon = 3 * interval
-    while machine.checkpointing.checkpoints_committed < 2:
-        if machine.all_finished:
-            print("run too short for two checkpoints; raise --scale or "
-                  "lower --interval-us", file=sys.stderr)
-            return 2
-        machine.run(until=horizon)
-        horizon += interval
-    detect = machine.checkpointing.commit_times[2] + int(0.8 * interval)
-    machine.run(until=detect)
-
-    NodeLossFault(args.lost_node).apply(machine)
-    result = RecoveryManager(machine).recover(detect_time=detect,
-                                              lost_node=args.lost_node,
-                                              target_epoch=1)
+    recovered = _worst_case_recovery(args, interval, machine_config,
+                                     n_procs, tracer, profiler)
+    if recovered is None:
+        return 2
+    machine, result = recovered
     mismatches = machine.verify_against_snapshot(result.target_epoch)
     tracer.close()
 
@@ -904,7 +874,7 @@ def cmd_trace(args) -> int:
                            interval_ns=interval,
                            machine_config=machine_config,
                            lost_node=args.lost_node,
-                           **_tiny_revive_overrides(args)),
+                           **tiny_revive_overrides(args.nodes)),
                       suite, tracer)
     if mismatches:
         print(f"VERIFICATION FAILED: {len(mismatches)} mismatching lines",
@@ -1076,7 +1046,7 @@ def cmd_profile(args) -> int:
     interval = int(args.interval_us * 1000)
     machine_config, n_procs = _machine_setup(args)
     profiler = Profiler()
-    overrides = (_tiny_revive_overrides(args)
+    overrides = (tiny_revive_overrides(args.nodes)
                  if args.variant != "baseline" else {})
     result = run_app(args.app, args.variant, scale=args.scale,
                      interval_ns=interval, machine_config=machine_config,

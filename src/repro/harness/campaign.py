@@ -16,8 +16,9 @@ fault is injected.  :func:`run_campaign` removes the repetition:
    ``detect_fraction`` (× ``hybrid_fraction``, which changes machine
    geometry and therefore gets its own warm image) — restores the
    image into a fresh machine, runs only the detection window, injects
-   its fault, and recovers.  Scenarios fan out over a worker pool with
-   the same serial fallback as :func:`~repro.harness.parallel.run_sweep`.
+   its fault, and recovers.  Scenarios fan out through the job
+   executor (:mod:`repro.harness.executor`), like sweep cells; the
+   warm images reach the workers as the pool's job context.
 
 Because snapshot/restore is bit-identical to uninterrupted execution
 (``tests/test_snapshot_oracle.py``), the forked outcomes are exactly
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import pickle
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -74,6 +74,27 @@ def campaign_scenarios(
     return scenarios
 
 
+class WarmupTooShort(RuntimeError):
+    """The workload finished before the warm-up's target commit."""
+
+
+def _new_machine(app: str, variant: str, run_kwargs: Dict, digest: bool):
+    """A fresh machine of the job with its workload attached, and with
+    a digest recorder installed when ``digest`` is set."""
+    kwargs = dict(run_kwargs)
+    interval_ns = kwargs.pop("interval_ns", DEFAULT_INTERVAL_NS)
+    scale = kwargs.pop("scale", 1.0)
+    n_procs = kwargs.pop("n_procs", 16)
+    machine_config = kwargs.pop("machine_config", None)
+    machine = build_machine(variant, machine_config, interval_ns, **kwargs)
+    machine.attach_workload(get_workload(app, scale=scale, n_procs=n_procs))
+    if digest:
+        from repro.obs.digest import DigestRecorder
+
+        machine.install_digests(DigestRecorder())
+    return machine
+
+
 def warm_machine(app: str, variant: str, run_kwargs: Dict,
                  warm_checkpoints: int, digest: bool = False):
     """Build and run one machine to ``warm_checkpoints`` commits.
@@ -86,25 +107,17 @@ def warm_machine(app: str, variant: str, run_kwargs: Dict,
     window per commit) rides inside the captured image and forked
     scenarios resume it (docs/OBSERVABILITY.md).
     """
-    kwargs = dict(run_kwargs)
-    interval_ns = kwargs.pop("interval_ns", DEFAULT_INTERVAL_NS)
-    scale = kwargs.pop("scale", 1.0)
-    n_procs = kwargs.pop("n_procs", 16)
-    machine_config = kwargs.pop("machine_config", None)
-    machine = build_machine(variant, machine_config, interval_ns, **kwargs)
+    machine = _new_machine(app, variant, run_kwargs, digest)
     if machine.checkpointing is None:
         raise ValueError(f"variant {variant!r} takes no checkpoints; "
                          f"campaigns need a checkpointing variant")
-    machine.attach_workload(get_workload(app, scale=scale, n_procs=n_procs))
     if digest:
-        from repro.obs.digest import DigestRecorder
-
-        machine.install_digests(DigestRecorder())
         machine.record_digest(ts=0)
+    interval_ns = run_kwargs.get("interval_ns", DEFAULT_INTERVAL_NS)
     horizon = (warm_checkpoints + 1) * interval_ns
     while machine.checkpointing.checkpoints_committed < warm_checkpoints:
         if machine.all_finished:
-            raise RuntimeError(
+            raise WarmupTooShort(
                 f"{app}: fewer than {warm_checkpoints} checkpoints in the "
                 f"whole run; shorten the interval or scale up the run")
         machine.run(until=horizon)
@@ -113,20 +126,8 @@ def warm_machine(app: str, variant: str, run_kwargs: Dict,
 
 
 # ---------------------------------------------------------------------------
-# Worker pool
+# Scenario jobs
 # ---------------------------------------------------------------------------
-
-#: Per-worker campaign context, set by :func:`_init_worker` (in the
-#: pool initializer, or directly for the serial path, which resets it
-#: to None when the campaign ends).
-_CTX: Optional[Dict] = None
-
-
-def _init_worker(ctx: Optional[Dict]) -> None:
-    """Pool initializer: stash the shared campaign context."""
-    global _CTX
-    _CTX = ctx
-
 
 def _decoded_image(ctx: Dict, hybrid: Optional[float]) -> Dict:
     """The warm image of one hybrid fraction, unpickled once per context.
@@ -154,23 +155,14 @@ def _scenario_machine(ctx: Dict, scenario: Dict):
     fresh machine and restores the context's decoded warm image.
     """
     app, variant = ctx["app"], ctx["variant"]
-    kwargs = dict(_hybrid_kwargs(ctx["run_kwargs"], scenario))
+    kwargs = _hybrid_kwargs(ctx["run_kwargs"], scenario)
     digest = bool(ctx.get("digest"))
     if ctx["images"][scenario["hybrid_fraction"]] is None:
         return warm_machine(app, variant, kwargs, ctx["warm_checkpoints"],
                             digest=digest)
-    interval_ns = kwargs.pop("interval_ns", DEFAULT_INTERVAL_NS)
-    scale = kwargs.pop("scale", 1.0)
-    n_procs = kwargs.pop("n_procs", 16)
-    machine_config = kwargs.pop("machine_config", None)
-    machine = build_machine(variant, machine_config, interval_ns, **kwargs)
-    machine.attach_workload(get_workload(app, scale=scale, n_procs=n_procs))
-    if digest:
-        from repro.obs.digest import DigestRecorder
-
-        # Installed before restore so the warm-up chain carried
-        # inside the image resumes (machine/snapshot.py).
-        machine.install_digests(DigestRecorder())
+    # The digest recorder goes in before restore, so the warm-up chain
+    # carried inside the image resumes (machine/snapshot.py).
+    machine = _new_machine(app, variant, kwargs, digest)
     machine.restore(_decoded_image(ctx, scenario["hybrid_fraction"]))
     return machine
 
@@ -196,9 +188,9 @@ def _fault_and_recover(machine, scenario: Dict, warm_checkpoints: int,
     return detect_time, result
 
 
-def _run_scenario(payload: Tuple[int, Dict]
-                  ) -> Tuple[int, Dict, Optional[Dict], Optional[Dict]]:
-    """Worker body: one fault scenario; module-level so it pickles.
+def _run_scenario(scenario: Dict, ctx: Dict
+                  ) -> Tuple[Dict, Optional[Dict], Optional[Dict]]:
+    """Job body: one fault scenario; module-level so it pickles.
 
     Forked mode restores the warm image into a fresh machine (the
     image is unpickled once per worker context); cold mode re-runs
@@ -207,7 +199,9 @@ def _run_scenario(payload: Tuple[int, Dict]
     the outcomes are identical (the snapshot oracle guarantees it),
     only the wall-clock differs.
 
-    Returns ``(index, outcome, profile, digest)``.  The host-time
+    ``ctx`` is the campaign's job context: the pool worker's own copy,
+    or the campaign's dict itself on the serial path.  Returns
+    ``(outcome, profile, digest)``.  The host-time
     profile (or None when profiling is off) rides *next to* the
     outcome, never inside it: outcomes must stay equal between cold
     and forked runs, and wall-clock attribution obviously is not.
@@ -221,8 +215,6 @@ def _run_scenario(payload: Tuple[int, Dict]
     identical window for window.  ``run_campaign(digest=True)``
     reconciles exactly that.
     """
-    index, scenario = payload
-    ctx = _CTX
     app, variant = ctx["app"], ctx["variant"]
     machine = _scenario_machine(ctx, scenario)
 
@@ -260,7 +252,7 @@ def _run_scenario(payload: Tuple[int, Dict]
         # windows + the post-recovery state.
         machine.record_digest()
         chain = machine.digests.chain.to_jsonable()
-    return index, outcome, snapshot, chain
+    return outcome, snapshot, chain
 
 
 def _hybrid_kwargs(run_kwargs: Dict, scenario: Dict) -> Dict:
@@ -430,6 +422,11 @@ def run_campaign(app: str = "fft", variant: str = "cp_parity",
     forked and cold campaigns over the same grid must produce
     identical lists (the snapshot oracle, made checkable).
     """
+    # Imported here, not at the top: the pool machinery takes ~20 ms to
+    # import, and most importers of this module never run a campaign.
+    from repro.harness.executor import check_pool_args, run_jobs
+
+    check_pool_args(workers)
     if warm_checkpoints < 1:
         raise ValueError("warm_checkpoints must be >= 1")
     run_kwargs = dict(scale=scale, n_procs=n_procs,
@@ -467,54 +464,10 @@ def run_campaign(app: str = "fft", variant: str = "cp_parity",
     ctx = {"app": app, "variant": variant, "run_kwargs": run_kwargs,
            "warm_checkpoints": warm_checkpoints, "images": images,
            "profile": profile, "digest": digest}
-    todo = list(enumerate(scenarios))
-    indexed: Dict[int, Dict] = {}
-    profiles: Dict[int, Optional[Dict]] = {}
-    digests: Dict[int, Optional[Dict]] = {}
-
-    from repro.harness.parallel import default_workers
-
-    n_workers = (workers if workers is not None
-                 else default_workers(len(todo)))
-    if workers is not None and workers < 1:
-        raise ValueError("workers must be >= 1")
-    use_pool = not serial and n_workers > 1 and len(todo) > 1
-    ran_parallel = False
-    if use_pool:
-        try:
-            import multiprocessing as mp
-
-            with mp.Pool(processes=n_workers, initializer=_init_worker,
-                         initargs=(ctx,)) as pool:
-                for index, outcome, snapshot, chain in pool.imap_unordered(
-                        _run_scenario, todo):
-                    indexed[index] = outcome
-                    profiles[index] = snapshot
-                    digests[index] = chain
-            ran_parallel = True
-        except (OSError, ImportError, PermissionError) as exc:
-            warnings.warn(
-                f"parallel campaign unavailable ({exc!r}); "
-                f"falling back to serial execution", RuntimeWarning,
-                stacklevel=2)
-            indexed.clear()
-            profiles.clear()
-            digests.clear()
-    if not ran_parallel:
-        _init_worker(ctx)
-        try:
-            for index, outcome, snapshot, chain in map(_run_scenario,
-                                                       todo):
-                indexed[index] = outcome
-                profiles[index] = snapshot
-                digests[index] = chain
-        finally:
-            # Drop the context (image bytes + decoded state) with the
-            # campaign, not with the next one.
-            _init_worker(None)
-        n_workers = 1
-
-    outcomes = [indexed[index] for index in range(len(scenarios))]
+    ran, n_workers, ran_parallel = run_jobs(
+        _run_scenario, scenarios, workers=workers, serial=serial,
+        context=ctx)
+    outcomes = [outcome for outcome, _snap, _chain in ran]
     merged_profile = None
     if profile:
         from repro.obs.telemetry import merge_profiles
@@ -522,10 +475,10 @@ def run_campaign(app: str = "fft", variant: str = "cp_parity",
         # Scenario order, never completion order — the merged profile
         # must be deterministic for a given campaign grid.
         merged_profile = merge_profiles(
-            profiles[index] for index in range(len(scenarios)))
+            snap for _outcome, snap, _chain in ran)
     # Scenario order for the same reason: forked and cold campaigns
     # over the same grid must produce comparable digest lists.
-    merged_digests = ([digests[index] for index in range(len(scenarios))]
+    merged_digests = ([chain for _outcome, _snap, chain in ran]
                       if digest else None)
     return CampaignResult(app=app, variant=variant,
                           warm_checkpoints=warm_checkpoints,

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.availability import availability, scale_to_real_interval
-from repro.core.faults import NodeLossFault, TransientSystemFault
-from repro.core.recovery import RecoveryManager, RecoveryResult
+from repro.core.recovery import RecoveryResult
+from repro.harness.campaign import _fault_and_recover, warm_machine
 from repro.harness.runner import (
     DEFAULT_INTERVAL_NS,
     VARIANTS,
@@ -22,7 +22,7 @@ from repro.harness.runner import (
     run_app,
 )
 from repro.machine.config import MachineConfig
-from repro.workloads.registry import APP_NAMES, get_workload, paper_reference
+from repro.workloads.registry import APP_NAMES, paper_reference
 
 
 # ---------------------------------------------------------------------------
@@ -194,32 +194,16 @@ def fig12_recovery(apps: Sequence[str] = None, scale: float = 1.0,
     permanent loss of one node.  Pass ``lost_node=None`` for the
     memory-intact variant (Phases 2/4 skipped).
     """
+    run_kwargs = dict(scale=scale, interval_ns=interval_ns,
+                      machine_config=machine_config, debug_snapshots=False)
+    scenario = {"lost_node": lost_node, "detect_fraction": 0.8}
     experiments = []
     for app in apps or APP_NAMES:
-        machine = build_machine("cp_parity", machine_config,
-                                interval_ns,
-                                debug_snapshots=False)
-        machine.attach_workload(get_workload(app, scale=scale))
-        # Run just past the second commit, then to the detection time —
-        # rolling back to checkpoint 1 requires its log epoch to still
-        # be retained (keep_checkpoints = 2).
-        horizon = 3 * interval_ns
-        while machine.checkpointing.checkpoints_committed < 2:
-            if machine.all_finished:
-                raise RuntimeError(
-                    f"{app}: fewer than 2 checkpoints in the whole run; "
-                    f"shorten the interval or scale up the run")
-            machine.run(until=horizon)
-            horizon += interval_ns
-        detect_time = (machine.checkpointing.commit_times[2]
-                       + int(0.8 * interval_ns))
-        machine.run(until=detect_time)
-        if lost_node is not None:
-            NodeLossFault(lost_node).apply(machine)
-        else:
-            TransientSystemFault().apply(machine)
-        result = RecoveryManager(machine).recover(
-            detect_time=detect_time, lost_node=lost_node, target_epoch=1)
+        # Warm past the second commit, then roll back to checkpoint 1:
+        # its log epoch is still retained (keep_checkpoints = 2).
+        machine = warm_machine(app, "cp_parity", run_kwargs, 2)
+        _detect, result = _fault_and_recover(machine, scenario, 2,
+                                             interval_ns)
         experiments.append(RecoveryExperiment(app, lost_node, result,
                                               interval_ns))
     return experiments

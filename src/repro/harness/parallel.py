@@ -2,18 +2,19 @@
 
 The evaluation sweeps (Figure 8 overhead, traffic, log-size exhibits)
 are embarrassingly parallel — every (app, variant) cell is one
-independent simulation.  :func:`run_sweep` fans the cells out over a
-``multiprocessing`` pool and merges the :class:`RunResult`s back in
-job order, so the output is **bit-identical to a serial sweep no
-matter the worker count or completion order**: each simulation is
-deterministic given its arguments, and the merge ignores arrival
-order.  ``tests/test_parallel_sweep.py`` pins serial == 1 == 2 == 4
-workers.
+independent simulation.  :func:`run_sweep` fans the cells out through
+the job executor (:mod:`repro.harness.executor`) and gets the
+:class:`RunResult`s back in job order, so the output is
+**bit-identical to a serial sweep no matter the worker count or
+completion order**: each simulation is deterministic given its
+arguments, and the merge ignores arrival order.
+``tests/test_parallel_sweep.py`` pins serial == 1 == 2 == 4 workers.
 
 Serial fallback: ``workers=1`` (or ``serial=True``) runs in-process
-with zero multiprocessing machinery, and any pool-setup failure
-(restricted environments without ``fork``/semaphores) degrades to the
-same in-process path with a warning rather than an error.
+with zero multiprocessing machinery.  A pool that cannot start
+(restricted environments without ``fork``/semaphores) or whose worker
+is killed mid-job degrades to the same in-process path with a warning
+rather than an error or a hang.
 
 Traced sweeps (``trace_dir=``): every worker runs its job under a
 tracer wrapped in the standard monitor suite, writes
@@ -54,18 +55,20 @@ from __future__ import annotations
 import json
 import os
 import time
-import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.harness.runner import (
-    BENCH_LOG_BYTES,
-    DEFAULT_INTERVAL_NS,
-    VARIANTS,
-    RunResult,
-    run_app,
+from repro.harness.executor import (
+    Observe,
+    check_pool_args,
+    default_workers,
+    run_cell,
+    run_jobs,
 )
+from repro.harness.runner import DEFAULT_INTERVAL_NS, VARIANTS, RunResult
 from repro.workloads.registry import APP_NAMES
+
+__all__ = ["SweepResult", "default_workers", "run_sweep", "sweep_jobs"]
 
 
 def sweep_jobs(apps: Optional[Sequence[str]] = None,
@@ -96,54 +99,6 @@ def sweep_jobs(apps: Optional[Sequence[str]] = None,
                 kwargs.update(revive_overrides)
             jobs.append((app, variant, kwargs))
     return jobs
-
-
-def _execute(payload: Tuple[int, Tuple[str, str, Dict]]
-             ) -> Tuple[int, RunResult, Optional[Dict]]:
-    """Worker body: run one job; module-level so it pickles.
-
-    With a ``_trace`` spec in the kwargs (injected by
-    :func:`run_sweep` for traced sweeps), the run is observed by the
-    standard monitor suite, its trace and ledger land in the sweep's
-    trace directory, and the ledger manifest rides back with the
-    result for the deterministic merge.
-    """
-    index, (app, variant, kwargs) = payload
-    kwargs = dict(kwargs)
-    trace_spec = kwargs.pop("_trace", None)
-    digest = kwargs.pop("_digest", False)
-    profiler = None
-    if kwargs.pop("_profile", False):
-        from repro.obs.profiling import Profiler
-
-        profiler = Profiler()
-    if trace_spec is None:
-        return index, run_app(app, variant, profiler=profiler,
-                              digest=digest, **kwargs), None
-
-    from repro.obs.monitor import MonitorSuite, RunLedger, default_monitors
-    from repro.obs.tracer import JsonlFileSink, Tracer
-    from repro.workloads.splash2 import SPLASH2_SPECS
-
-    capacity = None
-    if variant != "baseline":
-        capacity = kwargs.get("log_bytes_per_node", BENCH_LOG_BYTES)
-    suite = MonitorSuite(
-        default_monitors(interval_ns=kwargs.get("interval_ns"),
-                         log_capacity_bytes=capacity),
-        sink=JsonlFileSink(trace_spec["path"]))
-    tracer = Tracer(suite, categories=trace_spec.get("categories"))
-    result = run_app(app, variant, tracer=tracer, profiler=profiler,
-                     digest=digest, **kwargs)
-    tracer.close()
-
-    spec = SPLASH2_SPECS.get(app)
-    ledger = RunLedger(app, variant, run_args=kwargs,
-                       seed=spec.seed if spec is not None else None)
-    manifest = ledger.finalize(result=result, monitors=suite,
-                               tracer=tracer)
-    ledger.write(trace_spec["ledger_path"])
-    return index, result, manifest
 
 
 @dataclass
@@ -220,11 +175,6 @@ class SweepResult:
         }
 
 
-def default_workers(n_jobs: int) -> int:
-    """Auto worker count: one per job, capped at the CPU count."""
-    return max(1, min(n_jobs, os.cpu_count() or 1))
-
-
 def run_sweep(apps: Optional[Sequence[str]] = None,
               variants: Optional[Sequence[str]] = None,
               *, workers: Optional[int] = None, chunksize: int = 1,
@@ -272,166 +222,109 @@ def run_sweep(apps: Optional[Sequence[str]] = None,
     sweeps).  Chains are pure functions of deterministic simulation
     state, so the merged document is identical for serial and parallel
     executions — the property the CI determinism gate compares.  Like
-    ``profile``, the flag is injected after cache keys are computed:
-    digesting is an observation, never configuration.  A digested
-    sweep served from entries stored by an undigested sweep reports
-    ``None`` chains for those cells (use a fresh ``cache_dir`` — or
-    none — when comparing chains).
+    ``profile``, the flag travels in the jobs' ``Observe`` value, never
+    in their kwargs: digesting is an observation, not configuration.
+    A digested sweep served from entries stored by an undigested sweep
+    reports ``None`` chains for those cells (use a fresh
+    ``cache_dir`` — or none — when comparing chains).
     """
-    if chunksize < 1:
-        raise ValueError("chunksize must be >= 1")
+    check_pool_args(workers, chunksize)
     jobs = sweep_jobs(apps, variants, scale=scale, n_procs=n_procs,
                       interval_ns=interval_ns, machine_config=machine_config,
                       **revive_overrides)
+    observe = Observe(trace_dir=trace_dir,
+                      trace_categories=(tuple(trace_categories)
+                                        if trace_categories is not None
+                                        else None),
+                      profile=profile, digest=digest)
     cache = None
-    job_keys: List[Optional[str]] = [None] * len(jobs)
     if cache_dir is not None:
         from repro.harness import store as result_store
 
         cache = result_store.ResultStore(cache_dir,
                                          max_bytes=cache_max_bytes)
-        # Keys come from the kwargs exactly as the worker's RunLedger
-        # will canonicalise them — computed before the ``_trace`` spec
-        # (a file-path detail, not configuration) is injected.
-        key_categories = (sorted(trace_categories)
-                          if (trace_dir is not None
-                              and trace_categories is not None) else None)
-        job_keys = [
-            result_store.store_key(
-                result_store.job_digest(app, variant, kwargs),
-                trace_categories=key_categories)
-            for app, variant, kwargs in jobs]
     if trace_dir is not None:
         os.makedirs(trace_dir, exist_ok=True)
-        categories = (list(trace_categories)
-                      if trace_categories is not None else None)
-        for app, variant, kwargs in jobs:
-            base = os.path.join(trace_dir, f"{app}__{variant}")
-            kwargs["_trace"] = {"path": base + ".jsonl",
-                                "ledger_path": base + ".ledger.json",
-                                "categories": categories}
-    if profile:
-        # Injected after cache keys are computed: profiling is a
-        # host-side observation, not configuration, so it must never
-        # change a job's digest.
-        for _app, _variant, kwargs in jobs:
-            kwargs["_profile"] = True
-    if digest:
-        # Same contract as _profile: an observation, not configuration
-        # — injected after cache keys so a digested sweep hits the same
-        # store entries as an undigested one.
-        for _app, _variant, kwargs in jobs:
-            kwargs["_digest"] = True
 
     start = time.perf_counter()
-    indexed: Dict[int, Tuple[RunResult, Optional[Dict]]] = {}
-    todo: List[Tuple[int, Tuple[str, str, Dict]]] = []
-    for index, job in enumerate(jobs):
-        entry = cache.get(job_keys[index]) if cache is not None else None
-        if entry is not None and trace_dir is not None and (
-                entry.payload.get("manifest") is None
-                or not entry.has_artifact(result_store.TRACE_ARTIFACT)):
-            # Stored by an untraced sweep: good enough for results,
-            # but a traced sweep needs the trace + manifest too.
-            # Re-run and upgrade the entry.
-            entry = None
+    cells: List[Tuple[RunResult, Optional[Dict]]] = [None] * len(jobs)
+    keys: List[Optional[str]] = [None] * len(jobs)
+    todo: List[int] = []
+    for index, (app, variant, kwargs) in enumerate(jobs):
+        entry = None
+        if cache is not None:
+            # Keys come from the kwargs alone, exactly as the worker's
+            # RunLedger will canonicalise them; observation lives in
+            # ``observe`` and cannot reach them.
+            keys[index] = result_store.store_key(
+                result_store.job_digest(app, variant, kwargs),
+                trace_categories=observe.key_categories)
+            entry = result_store.run_entry(cache, keys[index],
+                                           traced=trace_dir is not None)
         if entry is None:
-            todo.append((index, job))
+            todo.append(index)
             continue
-        result = result_store.result_from_payload(entry.payload)
         manifest = entry.payload.get("manifest")
         if trace_dir is not None:
-            app, variant, _kwargs = job
-            base = os.path.join(trace_dir, f"{app}__{variant}")
+            base = observe.trace_base(app, variant)
             with open(base + ".jsonl", "wb") as handle:
                 handle.write(
                     entry.read_artifact(result_store.TRACE_ARTIFACT))
             with open(base + ".ledger.json", "wb") as handle:
                 handle.write(result_store.manifest_bytes(manifest))
-        indexed[index] = (result, manifest)
-    hits = len(jobs) - len(todo)
+        cells[index] = (result_store.result_from_payload(entry.payload),
+                        manifest)
 
-    n_workers = workers if workers is not None else default_workers(len(todo))
-    if workers is not None and workers < 1:
-        raise ValueError("workers must be >= 1")
-    use_pool = not serial and n_workers > 1 and len(todo) > 1
-    ran_parallel = False
-    if use_pool:
-        try:
-            import multiprocessing as mp
-
-            with mp.Pool(processes=n_workers) as pool:
-                for index, result, manifest in pool.imap_unordered(
-                        _execute, todo, chunksize=chunksize):
-                    indexed[index] = (result, manifest)
-            ran_parallel = True
-        except (OSError, ImportError, PermissionError) as exc:
-            warnings.warn(
-                f"parallel sweep unavailable ({exc!r}); "
-                f"falling back to serial execution", RuntimeWarning,
-                stacklevel=2)
-            for index in [i for i, _job in todo]:
-                indexed.pop(index, None)
-    if not ran_parallel:
-        for index, result, manifest in map(_execute, todo):
-            indexed[index] = (result, manifest)
-        n_workers = 1
-
-    if cache is not None:
-        for index, (app, variant, _kwargs) in todo:
-            result, manifest = indexed[index]
+    computed, n_workers, ran_parallel = run_jobs(
+        run_cell, [jobs[index] for index in todo], workers=workers,
+        serial=serial, chunksize=chunksize, context=observe)
+    for index, cell in zip(todo, computed):
+        cells[index] = cell
+        if cache is not None:
+            app, variant, _kwargs = jobs[index]
             artifacts = None
             if trace_dir is not None:
-                base = os.path.join(trace_dir, f"{app}__{variant}")
-                with open(base + ".jsonl", "rb") as handle:
+                with open(observe.trace_base(app, variant) + ".jsonl",
+                          "rb") as handle:
                     artifacts = {result_store.TRACE_ARTIFACT: handle.read()}
-            cache.put(job_keys[index], result_store.KIND_RUN,
-                      result_store.run_payload(result, manifest),
-                      artifacts=artifacts)
+            cache.put(keys[index], result_store.KIND_RUN,
+                      result_store.run_payload(*cell), artifacts=artifacts)
 
     job_order = [(app, variant) for app, variant, _kwargs in jobs]
-    results = {job_order[index]: indexed[index][0]
-               for index in range(len(jobs))}
+    results = {job: result for job, (result, _manifest)
+               in zip(job_order, cells)}
     ledgers: Optional[List[Dict]] = None
     if trace_dir is not None:
-        # Merge worker-side manifests in canonical job order —
-        # completion order never leaks into the merged ledger, and the
-        # manifests themselves carry no wall-clock values, so this file
-        # is byte-identical however the sweep was scheduled.
-        ledgers = [indexed[index][1] for index in range(len(jobs))]
-        merged = {
+        # Manifests in canonical job order, and they carry no
+        # wall-clock values: this file is byte-identical however the
+        # sweep was scheduled.
+        ledgers = [manifest for _result, manifest in cells]
+        _write_json(os.path.join(trace_dir, "sweep.ledger.json"), {
             "ledger_version": ledgers[0]["ledger_version"] if ledgers
             else None,
             "schema_version": ledgers[0]["schema_version"] if ledgers
             else None,
             "jobs": ledgers,
-        }
-        with open(os.path.join(trace_dir, "sweep.ledger.json"), "w",
-                  encoding="utf-8") as handle:
-            json.dump(merged, handle, sort_keys=True, indent=2)
-            handle.write("\n")
+        })
     merged_profile = None
     if profile:
         from repro.obs.telemetry import merge_profiles
 
         merged_profile = merge_profiles(
-            indexed[index][0].profile for index in range(len(jobs)))
+            result.profile for result in results.values())
         if trace_dir is not None and merged_profile is not None:
             # A side-channel next to sweep.ledger.json, never inside
             # it: profiles carry wall-clock values and would break the
             # ledger's byte-identity guarantee.
-            with open(os.path.join(trace_dir, "sweep.profile.json"),
-                      "w", encoding="utf-8") as handle:
-                json.dump(merged_profile, handle, sort_keys=True,
-                          indent=2)
-                handle.write("\n")
+            _write_json(os.path.join(trace_dir, "sweep.profile.json"),
+                        merged_profile)
     merged_digest = None
     if digest:
         from repro.obs.digest import merge_sweep_digests, write_digest_file
 
         merged_digest = merge_sweep_digests(
             [f"{app}__{variant}" for app, variant in job_order],
-            [indexed[index][0].digest for index in range(len(jobs))])
+            [result.digest for result in results.values()])
         if trace_dir is not None:
             # A side channel beside sweep.ledger.json, like
             # sweep.profile.json — but deterministic: serial and
@@ -442,7 +335,13 @@ def run_sweep(apps: Optional[Sequence[str]] = None,
                        wall_seconds=time.perf_counter() - start,
                        parallel=ran_parallel, job_order=job_order,
                        ledgers=ledgers, trace_dir=trace_dir,
-                       cache_hits=hits,
+                       cache_hits=len(jobs) - len(todo),
                        cache_misses=len(todo) if cache is not None else 0,
                        cache_dir=cache_dir, profile=merged_profile,
                        digest=merged_digest)
+
+
+def _write_json(path: str, doc: Dict) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle, sort_keys=True, indent=2)
+        handle.write("\n")

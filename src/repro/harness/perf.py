@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.harness.parallel import run_sweep
 from repro.harness.runner import build_machine

@@ -103,7 +103,7 @@ def job_digest(app: str, variant: str, run_kwargs: Dict,
     same job would stamp into its manifest — the ledger is the oracle
     that makes cache hits provably equivalent to fresh runs.  ``seed``
     defaults to the workload's registered seed, mirroring the ledger
-    construction in ``repro.harness.parallel._execute``.
+    construction in :func:`repro.harness.executor.run_job`.
     """
     from repro.obs.monitor import RunLedger
     from repro.workloads.splash2 import SPLASH2_SPECS
@@ -138,6 +138,22 @@ def store_key(config_digest: str,
          "store_version": STORE_VERSION},
         sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def run_entry(cache: Optional[ResultStore], key: str,
+              traced: bool) -> Optional[StoreEntry]:
+    """The stored run under ``key``, or None when the cell must run.
+
+    A traced caller needs the entry's manifest and trace as well as its
+    result: an entry stored by an untraced run is a miss for it, and
+    the re-run upgrades the entry in place.
+    """
+    entry = cache.get(key) if cache is not None else None
+    if entry is not None and traced and (
+            entry.payload.get("manifest") is None
+            or not entry.has_artifact(TRACE_ARTIFACT)):
+        return None
+    return entry
 
 
 def content_key(data: bytes) -> str:

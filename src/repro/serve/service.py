@@ -5,8 +5,8 @@ requests,
 dedupes them against a content-addressed
 :class:`~repro.harness.store.ResultStore` keyed by the ledger config
 digest, schedules cache misses across a multiprocessing worker pool
-(reusing the deterministic executor from
-:mod:`repro.harness.parallel`), and streams progress back as ``svc.*``
+(through the job executor of
+:mod:`repro.harness.executor`), and streams progress back as ``svc.*``
 events — cache hit/miss per cell, monitor verdicts, span-latency
 classes, the result itself, and (for ``report`` requests) Figure-8
 style overhead rows.  The architecture, request lifecycle, and
@@ -51,7 +51,7 @@ from collections import deque
 from time import perf_counter
 from typing import AsyncIterator, Dict, List, Optional, Tuple
 
-from repro.harness import parallel
+from repro.harness import executor, parallel
 from repro.harness.runner import (
     DEFAULT_INTERVAL_NS,
     VARIANTS,
@@ -63,6 +63,7 @@ from repro.harness.store import (
     ResultStore,
     job_digest,
     result_from_payload,
+    run_entry,
     run_payload,
     store_key,
 )
@@ -100,6 +101,11 @@ TINY_NODES = (2, 4, 8, 16)
 
 class ServiceError(ValueError):
     """A request the service rejects (streamed back as ``svc.error``)."""
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: ``4.0`` and ``true`` are not node counts or ids."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _normalise(request) -> Dict:
@@ -154,7 +160,7 @@ def _normalise(request) -> Dict:
         raise ServiceError("op 'report' needs the 'baseline' variant "
                            "to compute overheads against")
     nodes = request.get("nodes")
-    if nodes is not None and nodes not in TINY_NODES:
+    if nodes is not None and not (_is_int(nodes) and nodes in TINY_NODES):
         raise ServiceError(f"nodes must be one of {TINY_NODES} (or null "
                            f"for the 16-node bench machine)")
     scale = request.get("scale", 0.1)
@@ -169,15 +175,17 @@ def _normalise(request) -> Dict:
            "digest": bool(request.get("digest", False))}
     if op == "campaign":
         warm = request.get("warm_checkpoints", 2)
-        if not isinstance(warm, int) or warm < 1:
+        if not _is_int(warm) or warm < 1:
             raise ServiceError("warm_checkpoints must be a positive "
                                "integer")
         lost_nodes = request.get("lost_nodes", [None, 1])
+        n_nodes = nodes or 16
         if (not isinstance(lost_nodes, list) or not lost_nodes
-                or not all(n is None or isinstance(n, int)
+                or not all(n is None or (_is_int(n) and 0 <= n < n_nodes)
                            for n in lost_nodes)):
-            raise ServiceError("lost_nodes must be a non-empty list of "
-                               "node ids (null = transient fault)")
+            raise ServiceError(f"lost_nodes must be a non-empty list of "
+                               f"node ids in [0, {n_nodes}) "
+                               f"(null = transient fault)")
         fractions = request.get("detect_fractions", [0.2, 0.5, 0.8])
         if (not isinstance(fractions, list) or not fractions
                 or not all(isinstance(f, (int, float)) and 0 < f < 1
@@ -195,34 +203,7 @@ def request_key(req: Dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _service_execute(payload: Tuple[str, str, Dict, str, bool]):
-    """Worker body: one traced cell through the sweep executor.
-
-    Module-level so it pickles into the process pool.  Reuses
-    :func:`repro.harness.parallel._execute` — the same code path as a
-    traced ``repro sweep`` — so the manifest (and therefore the config
-    digest and every stored byte) is identical to what a sweep of the
-    same cell produces.  The trace spools through a scratch file and
-    rides back as bytes.  ``digest`` rides in as a side channel
-    (popped before the ledger, exactly like a ``run_sweep(digest=True)``
-    job), so digested and undigested cells share a cache key.
-    """
-    app, variant, kwargs, spool_dir, digest = payload
-    os.makedirs(spool_dir, exist_ok=True)
-    base = os.path.join(spool_dir, f"{app}__{variant}")
-    kwargs = dict(kwargs)
-    kwargs["_trace"] = {"path": base + ".jsonl",
-                        "ledger_path": base + ".ledger.json",
-                        "categories": None}
-    if digest:
-        kwargs["_digest"] = True
-    _index, result, manifest = parallel._execute((0, (app, variant, kwargs)))
-    with open(base + ".jsonl", "rb") as handle:
-        trace = handle.read()
-    return result, manifest, trace
-
-
-def _service_campaign(payload: Tuple[Dict, Optional[str]]):
+def _service_campaign(req: Dict, cache_dir: Optional[str]):
     """Worker body: one fault campaign; module-level so it pickles.
 
     Runs the campaign serially inside this worker (no nested pools)
@@ -234,7 +215,6 @@ def _service_campaign(payload: Tuple[Dict, Optional[str]]):
     from repro.machine.config import MachineConfig
     from repro.obs.tracer import RingBufferSink
 
-    req, cache_dir = payload
     sink = RingBufferSink()
     tracer = Tracer(sink)
     nodes = req["nodes"]
@@ -399,8 +379,9 @@ class SimulationService:
 
             if req["op"] == "campaign":
                 use_cache = self.store is not None and not req["no_cache"]
-                campaign, snap_events = await self._run_campaign(
-                    req, self.store.root if use_cache else None)
+                campaign, snap_events = await self._offload(
+                    _service_campaign, req,
+                    self.store.root if use_cache else None)
                 # Re-stream the campaign's own snap.* events under this
                 # stream's envelope so the whole stream lints clean.
                 for snap in snap_events:
@@ -422,13 +403,10 @@ class SimulationService:
             lookup_begin = perf_counter()
             for app, variant, kwargs in jobs:
                 jkey = store_key(job_digest(app, variant, kwargs))
-                entry = self.store.get(jkey) if use_cache else None
-                if entry is not None and (
-                        entry.payload.get("manifest") is None
-                        or not entry.has_artifact(TRACE_ARTIFACT)):
-                    # Result-only entry (untraced sweep): the service
-                    # needs verdicts + trace; re-run upgrades it.
-                    entry = None
+                # The service needs verdicts + trace, so it reads
+                # entries as a traced caller.
+                entry = run_entry(self.store if use_cache else None,
+                                  jkey, traced=True)
                 task = None
                 coalesced = False
                 if entry is None:
@@ -522,43 +500,34 @@ class SimulationService:
             return None
         if self._executor is None:
             try:
-                import multiprocessing as mp
-                from concurrent.futures import ProcessPoolExecutor
-
-                # Workers are spawned lazily at first submit — which
-                # happens mid-connection.  A fork at that point would
-                # inherit the accepted socket into the (long-lived)
-                # worker, keeping client connections open after the
-                # server closes them; spawn (fork+exec) drops every
-                # non-inheritable fd, so workers never pin a stream.
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    mp_context=mp.get_context("spawn"))
-            except (OSError, ImportError, PermissionError, ValueError):
+                # Spawned, not forked: workers start lazily at first
+                # submit, mid-connection (executor.open_pool).
+                self._executor = executor.open_pool(self.workers,
+                                                    spawn=True)
+            except executor.POOL_FAILURES:
                 self._executor_broken = True
                 return None
         return self._executor
 
-    async def _run_campaign(self, req: Dict,
-                            cache_dir: Optional[str]) -> Tuple:
-        """Run one fault campaign in the pool (thread fallback)."""
-        from concurrent.futures.process import BrokenProcessPool
+    async def _offload(self, fn, *args):
+        """``fn(*args)`` in the process pool, counted in ``_busy``.
 
+        A missing or broken pool (fork restrictions, an OOM-killed
+        worker, ...) degrades to the loop's thread executor for this
+        and every later job.
+        """
         loop = asyncio.get_running_loop()
-        payload = (req, cache_dir)
-        executor = self._ensure_executor()
+        pool = self._ensure_executor()
         self._busy += 1
         try:
             try:
-                return await loop.run_in_executor(
-                    executor, _service_campaign, payload)
-            except (OSError, PermissionError, BrokenProcessPool):
-                if executor is None:
+                return await loop.run_in_executor(pool, fn, *args)
+            except executor.POOL_FAILURES:
+                if pool is None:
                     raise
                 self._executor_broken = True
                 self._executor = None
-                return await loop.run_in_executor(
-                    None, _service_campaign, payload)
+                return await loop.run_in_executor(None, fn, *args)
         finally:
             self._busy -= 1
 
@@ -568,6 +537,12 @@ class SimulationService:
                              digest: bool = False) -> Tuple:
         """Simulate one cell in the pool; store the entry on the way out.
 
+        The cell runs through :func:`repro.harness.executor.run_job` —
+        the same body as a traced ``repro sweep`` cell — so its
+        manifest (and therefore its config digest and every stored
+        byte) is identical to what a sweep of the same cell produces.
+        The trace spools through a scratch directory.
+
         Returns ``(result, manifest, timing)`` where ``timing`` splits
         the cell's host time into ``queue_wait_s`` (scheduling to
         worker start — event-loop plus pool queueing) and
@@ -576,30 +551,17 @@ class SimulationService:
         """
         timing = {"queue_wait_s": 0.0, "execute_s": 0.0}
         try:
-            loop = asyncio.get_running_loop()
             spool = tempfile.mkdtemp(prefix="repro-serve-")
-            payload = (app, variant, kwargs, spool, digest)
+            observe = executor.Observe(trace_dir=spool, digest=digest)
             begin = perf_counter()
             timing["queue_wait_s"] = begin - scheduled_at
-            self._busy += 1
             try:
-                from concurrent.futures.process import BrokenProcessPool
-
-                executor = self._ensure_executor()
-                try:
-                    result, manifest, trace = await loop.run_in_executor(
-                        executor, _service_execute, payload)
-                except (OSError, PermissionError, BrokenProcessPool):
-                    if executor is None:
-                        raise
-                    # The pool died (fork restrictions, OOM-killed
-                    # worker, ...): degrade to the thread executor.
-                    self._executor_broken = True
-                    self._executor = None
-                    result, manifest, trace = await loop.run_in_executor(
-                        None, _service_execute, payload)
+                result, manifest = await self._offload(
+                    executor.run_job, app, variant, kwargs, observe)
+                with open(observe.trace_base(app, variant) + ".jsonl",
+                          "rb") as handle:
+                    trace = handle.read()
             finally:
-                self._busy -= 1
                 timing["execute_s"] = perf_counter() - begin
                 shutil.rmtree(spool, ignore_errors=True)
             self.metrics.log_histogram("svc.queue_wait_us").record(

@@ -3,15 +3,15 @@
 A campaign context unpickles each warm image once and restores every
 forked scenario from that decoded state.  That is sound only while
 ``Machine.restore`` copies the image's containers and never aliases
-them; these tests pin the contract, the bit-exactness of recovery from
-a shared image, and that the context does not outlive its campaign.
+them; these tests pin the contract and the bit-exactness of recovery
+from a shared image.  That the context does not outlive a serial
+campaign is pinned by ``tests/test_executor.py``.
 """
 
 from __future__ import annotations
 
 import pickle
 
-from repro.harness import campaign
 from repro.harness.campaign import (
     _decoded_image,
     _fault_and_recover,
@@ -85,9 +85,6 @@ def test_forked_digests_equal_cold_digests():
                 detect_fractions=(0.5,), hybrid_fractions=(0.0, 0.25),
                 serial=True, digest=True)
     forked = run_campaign("fft", "cp_parity", **RUN_KWARGS, **grid)
-    # A serial campaign drops its context (image bytes and decoded
-    # state) when it returns.
-    assert campaign._CTX is None
     cold = run_campaign("fft", "cp_parity", cold=True, **RUN_KWARGS, **grid)
     assert len(forked.outcomes) == 4
     assert forked.outcomes == cold.outcomes

@@ -68,6 +68,17 @@ class TestValidation:
         ({"op": "run", "app": "lu", "nodes": 5}, "nodes"),
         ({"op": "run", "app": "lu", "scale": -1}, "scale"),
         ({"op": "run", "app": "lu", "interval_us": 0}, "interval_us"),
+        ({"op": "run", "app": "lu", "nodes": 4.0}, "nodes"),
+        ({"op": "run", "app": "lu", "nodes": True}, "nodes"),
+        ({"op": "campaign", "app": "fft", "nodes": 4, "lost_nodes": [99]},
+         "lost_nodes"),
+        ({"op": "campaign", "app": "fft", "nodes": 4, "lost_nodes": [4]},
+         "lost_nodes"),
+        ({"op": "campaign", "app": "fft", "lost_nodes": [-1]}, "lost_nodes"),
+        ({"op": "campaign", "app": "fft", "lost_nodes": [True]},
+         "lost_nodes"),
+        ({"op": "campaign", "app": "fft", "warm_checkpoints": True},
+         "warm_checkpoints"),
     ])
     def test_rejections_stream_svc_error(self, tmp_path, request_dict,
                                          fragment):
