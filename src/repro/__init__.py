@@ -27,7 +27,8 @@ Inject a fault and recover::
 
     from repro import NodeLossFault, RecoveryManager
     NodeLossFault(3).apply(machine)
-    result = RecoveryManager(machine).recover(detect_time=machine.simulator.now)
+    result = RecoveryManager(machine).recover(
+        detect_time=machine.simulator.now)
 
 Observe a run (docs/OBSERVABILITY.md)::
 

@@ -141,7 +141,8 @@ class SetAssocCache:
         self.assoc = assoc
         self.line_size = line_size
         self.n_sets = n_sets
-        self._sets: List[Dict[int, CacheLine]] = [dict() for _ in range(n_sets)]
+        self._sets: List[Dict[int, CacheLine]] = [
+            dict() for _ in range(n_sets)]
         self.hits = 0
         self.misses = 0
         self._line_shift, _, self._groups = index_params(line_size, n_sets)
@@ -235,7 +236,7 @@ class SetAssocCache:
         return victim
 
     def invalidate(self, addr: int) -> Optional[CacheLine]:
-        """Remove the line, returning it (so callers can salvage a dirty value)."""
+        """Remove the line, returning it (callers may salvage its value)."""
         line = self._set_of(addr).pop(addr, None)
         if line is not None:
             self.epoch += 1

@@ -181,7 +181,7 @@ class CacheHierarchy:
         self.l2.restore(state["l2"])
         self.silent_upgrades = state["silent_upgrades"]
 
-    # -- statistics ------------------------------------------------------------
+    # -- statistics -----------------------------------------------------------
 
     @property
     def l2_miss_rate(self) -> float:

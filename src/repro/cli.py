@@ -56,13 +56,13 @@ from repro.harness.campaign import (
     run_campaign,
     warm_machine,
 )
+from repro.harness.executor import run_monitors, write_ledger
 from repro.harness.reporting import (
     format_table,
     profile_table,
     trace_summary_table,
 )
 from repro.harness.runner import (
-    BENCH_LOG_BYTES,
     DEFAULT_INTERVAL_NS,
     VARIANT_LABELS,
     VARIANTS,
@@ -76,10 +76,8 @@ from repro.obs import (
     JsonlFileSink,
     MonitorSuite,
     Profiler,
-    RunLedger,
     Tracer,
     attach_monitors,
-    default_monitors,
     read_trace,
     recovery_breakdown,
 )
@@ -460,7 +458,7 @@ def _make_tracer(args) -> Optional[Tracer]:
     return Tracer(JsonlFileSink(path), categories=_trace_categories(args))
 
 
-def _monitoring_setup(args, tracer, interval_ns, variant):
+def _monitoring_setup(args, tracer, variant, run_args):
     """Attach the standard monitors when ``--ledger`` was requested.
 
     Returns ``(tracer, suite)``; without ``--ledger`` the tracer passes
@@ -470,12 +468,7 @@ def _monitoring_setup(args, tracer, interval_ns, variant):
     """
     if not getattr(args, "ledger", None):
         return tracer, None
-    capacity = None
-    if variant != "baseline":
-        capacity = tiny_revive_overrides(args.nodes).get(
-            "log_bytes_per_node", BENCH_LOG_BYTES)
-    monitors = default_monitors(interval_ns=interval_ns,
-                                log_capacity_bytes=capacity)
+    monitors = run_monitors(variant, run_args)
     if tracer is None:
         suite = MonitorSuite(monitors)
         return Tracer(suite), suite
@@ -485,16 +478,17 @@ def _monitoring_setup(args, tracer, interval_ns, variant):
 def _write_ledger(args, app, variant, run_args, suite, tracer,
                   result=None) -> None:
     """Finalize and write the ``--ledger`` manifest for one command."""
-    from repro.workloads.splash2 import SPLASH2_SPECS
-
-    spec = SPLASH2_SPECS.get(app)
-    ledger = RunLedger(app, variant, run_args=run_args,
-                       seed=spec.seed if spec is not None else None)
-    manifest = ledger.finalize(result=result, monitors=suite,
-                               tracer=tracer)
-    ledger.write(args.ledger)
+    manifest = write_ledger(args.ledger, app, variant, run_args, suite,
+                            tracer, result=result)
     state = "healthy" if manifest["healthy"] else "UNHEALTHY"
     print(f"ledger: {args.ledger} ({state})")
+
+
+def _recovery_run_args(args, interval, machine_config, n_procs) -> dict:
+    """The ledger's run arguments for ``recover`` and ``trace``."""
+    return dict(scale=args.scale, n_procs=n_procs, interval_ns=interval,
+                machine_config=machine_config, lost_node=args.lost_node,
+                **tiny_revive_overrides(args.nodes))
 
 
 def cmd_list() -> int:
@@ -525,15 +519,16 @@ def cmd_run(args) -> int:
     """``repro run``: one workload on one variant."""
     interval = int(args.interval_us * 1000)
     machine_config, n_procs = _machine_setup(args)
-    tracer = _make_tracer(args)
-    tracer, suite = _monitoring_setup(args, tracer, interval, args.variant)
-    profiler = Profiler() if args.profile else None
     overrides = (tiny_revive_overrides(args.nodes)
                  if args.variant != "baseline" else {})
-    result = run_app(args.app, args.variant, scale=args.scale,
-                     interval_ns=interval, machine_config=machine_config,
-                     n_procs=n_procs, tracer=tracer, profiler=profiler,
-                     digest=bool(args.digest), **overrides)
+    run_args = dict(scale=args.scale, n_procs=n_procs, interval_ns=interval,
+                    machine_config=machine_config, **overrides)
+    tracer, suite = _monitoring_setup(args, _make_tracer(args),
+                                      args.variant, run_args)
+    profiler = Profiler() if args.profile else None
+    result = run_app(args.app, args.variant, tracer=tracer,
+                     profiler=profiler, digest=bool(args.digest),
+                     **run_args)
     rows = [
         ["execution time (us)", f"{result.execution_time_ns / 1e3:.1f}"],
         ["references", result.total_refs],
@@ -572,11 +567,8 @@ def cmd_run(args) -> int:
             print(f"\ntrace: {tracer.events_emitted} events -> "
                   f"{args.trace}")
     if suite is not None:
-        _write_ledger(args, args.app, args.variant,
-                      dict(scale=args.scale, n_procs=n_procs,
-                           interval_ns=interval,
-                           machine_config=machine_config, **overrides),
-                      suite, tracer, result=result)
+        _write_ledger(args, args.app, args.variant, run_args, suite,
+                      tracer, result=result)
     return 0
 
 
@@ -775,8 +767,9 @@ def cmd_recover(args) -> int:
     """``repro recover``: fault injection + verified recovery."""
     interval = int(args.interval_us * 1000)
     machine_config, n_procs = _machine_setup(args)
-    tracer = _make_tracer(args)
-    tracer, suite = _monitoring_setup(args, tracer, interval, "cp_parity")
+    run_args = _recovery_run_args(args, interval, machine_config, n_procs)
+    tracer, suite = _monitoring_setup(args, _make_tracer(args),
+                                      "cp_parity", run_args)
     profiler = Profiler() if args.profile else None
     recovered = _worst_case_recovery(args, interval, machine_config,
                                      n_procs, tracer, profiler)
@@ -803,13 +796,7 @@ def cmd_recover(args) -> int:
         if args.trace:
             print(f"trace: {tracer.events_emitted} events -> {args.trace}")
     if suite is not None:
-        _write_ledger(args, args.app, "cp_parity",
-                      dict(scale=args.scale, n_procs=n_procs,
-                           interval_ns=interval,
-                           machine_config=machine_config,
-                           lost_node=args.lost_node,
-                           **tiny_revive_overrides(args.nodes)),
-                      suite, tracer)
+        _write_ledger(args, args.app, "cp_parity", run_args, suite, tracer)
     if mismatches or broken:
         print(f"VERIFICATION FAILED: {len(mismatches)} mismatching lines, "
               f"{len(broken)} broken stripes", file=sys.stderr)
@@ -830,8 +817,9 @@ def cmd_trace(args) -> int:
     """
     interval = int(args.interval_us * 1000)
     machine_config, n_procs = _machine_setup(args)
-    tracer = _make_tracer(args)
-    tracer, suite = _monitoring_setup(args, tracer, interval, "cp_parity")
+    run_args = _recovery_run_args(args, interval, machine_config, n_procs)
+    tracer, suite = _monitoring_setup(args, _make_tracer(args),
+                                      "cp_parity", run_args)
     trace_path = args.trace or args.out
     profiler = Profiler() if args.profile else None
     recovered = _worst_case_recovery(args, interval, machine_config,
@@ -869,13 +857,7 @@ def cmd_trace(args) -> int:
         print(profile_table(profile_summary(profiler)))
     print(f"\ntrace: {tracer.events_emitted} events -> {trace_path}")
     if suite is not None:
-        _write_ledger(args, args.app, "cp_parity",
-                      dict(scale=args.scale, n_procs=n_procs,
-                           interval_ns=interval,
-                           machine_config=machine_config,
-                           lost_node=args.lost_node,
-                           **tiny_revive_overrides(args.nodes)),
-                      suite, tracer)
+        _write_ledger(args, args.app, "cp_parity", run_args, suite, tracer)
     if mismatches:
         print(f"VERIFICATION FAILED: {len(mismatches)} mismatching lines",
               file=sys.stderr)
@@ -1024,7 +1006,7 @@ def cmd_export_trace(args) -> int:
 def cmd_profile(args) -> int:
     """``repro profile``: host-time attribution of one run.
 
-    Runs the workload with the attributing dispatch loop enabled and
+    Runs the workload with per-actor host-time attribution on and
     prints the component table (self vs cumulative), the per-actor
     attribution with the per-node batch/protocol-fallout tier split,
     and the reconciliation line: the fraction of ``machine.run`` wall

@@ -1,6 +1,12 @@
 """Full-map directory coherence protocol (DASH-like)."""
 
-from repro.coherence.directory import Directory, DirEntry, DIR_UNCACHED, DIR_SHARED, DIR_EXCLUSIVE
+from repro.coherence.directory import (
+    DIR_EXCLUSIVE,
+    DIR_SHARED,
+    DIR_UNCACHED,
+    DirEntry,
+    Directory,
+)
 from repro.coherence.protocol import ProtocolEngine
 
 __all__ = [

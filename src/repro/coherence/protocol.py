@@ -77,7 +77,7 @@ class ProtocolEngine:
         self.stats.memory_traffic.add(category, self._line_bytes)
         return done
 
-    # -- read miss (GETS) ------------------------------------------------------
+    # -- read miss (GETS) -----------------------------------------------------
 
     def read(self, requester: int, line_addr: int, at: int) -> int:
         """Service a read miss; returns the data arrival time.
@@ -175,7 +175,7 @@ class ProtocolEngine:
             home.directory.trace_transition(line_addr, entry, done)
         return done
 
-    # -- write miss (GETX) and upgrade -------------------------------------------
+    # -- write miss (GETX) and upgrade ----------------------------------------
 
     def write(self, requester: int, line_addr: int, at: int,
               upgrade: bool) -> int:
@@ -184,7 +184,8 @@ class ProtocolEngine:
         Returns the time at which the requester holds the line MODIFIED
         with all invalidations acknowledged.
         """
-        self.stats.counter("txn.upgrade" if upgrade else "txn.write_miss").add()
+        self.stats.counter(
+            "txn.upgrade" if upgrade else "txn.write_miss").add()
         home_id = self._home_of(line_addr)
         home = self._node(home_id)
         spans = self.machine.spans
@@ -306,7 +307,7 @@ class ProtocolEngine:
             span.seg("net", done)
         return dirty_value, done
 
-    # -- write-backs -----------------------------------------------------------
+    # -- write-backs ----------------------------------------------------------
 
     def writeback(self, src: int, line_addr: int, value: Optional[int],
                   at: int, category: str = "ExeWB",
@@ -349,7 +350,8 @@ class ProtocolEngine:
         if sp is not None:
             sp.end(ack_time)
         entry.busy_until = max(entry.busy_until, busy)
-        if not retain_clean and entry.state == DIR_EXCLUSIVE and entry.owner == src:
+        if (not retain_clean and entry.state == DIR_EXCLUSIVE
+                and entry.owner == src):
             entry.set_uncached()
             if home.directory.tracer.enabled:
                 home.directory.trace_transition(line_addr, entry, ack_time)
@@ -371,7 +373,7 @@ class ProtocolEngine:
             span.seg("mem_write", done)
         return done, done
 
-    # -- cache install helpers ---------------------------------------------------
+    # -- cache install helpers ------------------------------------------------
 
     def _fill(self, requester: int, line_addr: int, state: int, value: int,
               at: int) -> None:

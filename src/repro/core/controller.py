@@ -68,7 +68,7 @@ class ReViveController:
         self.stats.counter(f"{base}.extra_lines").add(lines)
         self.stats.counter(f"{base}.extra_messages").add(messages)
 
-    # -- protocol hooks ----------------------------------------------------------
+    # -- protocol hooks -------------------------------------------------------
 
     def on_store_intent(self, home_id: int, line_addr: int, at: int) -> int:
         """Figure 5(a): log the pre-image on read-exclusive / upgrade.
@@ -159,7 +159,7 @@ class ReViveController:
             span.seg("mem_write", write_done)
         return write_done, data_parity_ack
 
-    # -- checkpoint support ------------------------------------------------------
+    # -- checkpoint support ---------------------------------------------------
 
     def append_commit_record(self, node_id: int, at: int) -> int:
         """Durably mark a checkpoint commit in the node's log.
@@ -191,7 +191,7 @@ class ReViveController:
         """Current live log bytes summed over all nodes."""
         return sum(log.bytes_used for log in self.logs.values())
 
-    # -- internals -------------------------------------------------------------------
+    # -- internals ------------------------------------------------------------
 
     def append_record_to(self, log: MemoryLog, home_id: int,
                          addr_field: int, value: int, at: int) -> int:

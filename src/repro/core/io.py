@@ -101,7 +101,7 @@ class IOManager:
         return controller.append_record_to(self.buffers[node], node,
                                            addr_field << 6, payload, at)
 
-    # -- checkpoint / recovery hooks ---------------------------------------------
+    # -- checkpoint / recovery hooks ------------------------------------------
 
     def on_commit(self, committed_epoch: int) -> List[IORecord]:
         """Release every output buffered before this commit.
@@ -152,7 +152,7 @@ class IOManager:
             log.gang_clear_logged()
         return dropped
 
-    # -- snapshot / restore (docs/SNAPSHOTS.md) ----------------------------------
+    # -- snapshot / restore (docs/SNAPSHOTS.md) -------------------------------
 
     def snapshot(self) -> dict:
         """Plain-data state: buffer logs + released/seen record lists."""
@@ -170,7 +170,7 @@ class IOManager:
         self.released[:] = [IORecord(*r) for r in state["released"]]
         self.inputs_seen[:] = [IORecord(*r) for r in state["inputs_seen"]]
 
-    # -- queries ---------------------------------------------------------------------
+    # -- queries --------------------------------------------------------------
 
     def pending_outputs(self) -> List[IORecord]:
         """Outputs buffered but not yet released (decoded from memory)."""

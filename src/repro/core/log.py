@@ -178,7 +178,7 @@ class MemoryLog:
         """Clear every L bit (done after each checkpoint commit)."""
         self.logged_lines.clear()
 
-    # -- appends ---------------------------------------------------------------
+    # -- appends --------------------------------------------------------------
 
     def make_writes(self, line_addr: int, old_value: int,
                     read_line: Callable[[int], int],
@@ -239,7 +239,7 @@ class MemoryLog:
                              line=(-1 if is_commit else line_addr),
                              commit=is_commit, bytes_used=used)
 
-    # -- epochs -----------------------------------------------------------------
+    # -- epochs ---------------------------------------------------------------
 
     def advance_epoch(self) -> int:
         """Start a new epoch after a checkpoint commit; returns its number."""
@@ -270,7 +270,7 @@ class MemoryLog:
             del self.epoch_start[epoch]
         return reclaimed
 
-    # -- rollback support ----------------------------------------------------------
+    # -- rollback support -----------------------------------------------------
 
     def entries_to_undo(self, target_epoch: int, upto_epoch: int,
                         read_line: Callable[[int], int],
@@ -346,7 +346,7 @@ class MemoryLog:
             del self.epoch_start[epoch]
         self.logged_lines.clear()
 
-    # -- snapshot / restore (docs/SNAPSHOTS.md) ----------------------------------
+    # -- snapshot / restore (docs/SNAPSHOTS.md) -------------------------------
 
     def snapshot(self) -> dict:
         """Plain-data state: pointers, epochs, L bits (in LRU order)."""
@@ -372,7 +372,7 @@ class MemoryLog:
         self.max_bytes_used = state["max_bytes_used"]
         self.appends = state["appends"]
 
-    # -- statistics --------------------------------------------------------------
+    # -- statistics -----------------------------------------------------------
 
     @property
     def bytes_used(self) -> int:

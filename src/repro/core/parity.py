@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
-from repro.memory.geomcache import GeometryCache
 from repro.memory.layout import ParityGeometry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -124,7 +123,7 @@ class ParityEngine:
         self.apply_update(line_addr, old_value, new_value)
         return self.time_update(line_addr, at, sequential=sequential)
 
-    # -- snapshot / restore (docs/SNAPSHOTS.md) --------------------------------
+    # -- snapshot / restore (docs/SNAPSHOTS.md) -------------------------------
 
     def snapshot(self) -> dict:
         """Plain-data state (the update counter; contents live in memory)."""
@@ -134,7 +133,7 @@ class ParityEngine:
         """Reinstate a :meth:`snapshot`."""
         self.updates = state["updates"]
 
-    # -- reconstruction (used by recovery, Phases 2-4) -------------------------
+    # -- reconstruction (used by recovery, Phases 2-4) ------------------------
 
     def stripe_xor(self, node: int, ppage: int,
                    lines: Optional[Iterable[int]] = None
@@ -192,7 +191,7 @@ class ParityEngine:
             raise ValueError(
                 f"page {ppage} of node {node} is not a parity page")
 
-    # -- invariants (tests and post-recovery verification) ----------------------
+    # -- invariants (tests and post-recovery verification) --------------------
 
     def check_stripe(self, parity_node: int, ppage: int) -> bool:
         """True when a parity page equals the XOR of its data pages."""

@@ -97,7 +97,7 @@ class RecoveryManager:
         self.config = machine.config
         self.revive_config = machine.revive_config
 
-    # -- public entry point ----------------------------------------------------
+    # -- public entry point ---------------------------------------------------
 
     def recover(self, detect_time: int, lost_node: Optional[int] = None,
                 target_epoch: Optional[int] = None) -> RecoveryResult:
@@ -254,7 +254,7 @@ class RecoveryManager:
                     dur_ns=result.phase4_background_ns,
                     pages_rebuilt=result.pages_rebuilt_background)
 
-    # -- committed-epoch determination (two-phase commit evidence) -------------
+    # -- committed-epoch determination (two-phase commit evidence) ------------
 
     def decode_logs(self) -> Dict[int, List[LogEntry]]:
         """Every node's log region decoded from memory, keyed by node.
@@ -286,7 +286,7 @@ class RecoveryManager:
                         default=0)
                     for entries in decoded.values()), default=0)
 
-    # -- Phase 2 -----------------------------------------------------------------
+    # -- Phase 2 --------------------------------------------------------------
 
     def _rebuild_lost_log(self, lost_node: int) -> None:
         """Reconstruct the lost node's log region from parity.
@@ -326,7 +326,7 @@ class RecoveryManager:
                      // max(1, workers))
         return phase2_ns, timed_lines
 
-    # -- Phase 3 ------------------------------------------------------------------
+    # -- Phase 3 --------------------------------------------------------------
 
     def _rollback(self, target_epoch: int, committed: int,
                   lost_node: Optional[int],
@@ -413,7 +413,7 @@ class RecoveryManager:
                 node, ppage):
             memory.restore_line(line_addr, value)
 
-    # -- Phase 4 --------------------------------------------------------------------
+    # -- Phase 4 --------------------------------------------------------------
 
     def _background_repair(self, lost_node: Optional[int],
                            already: Set[Tuple[int, int]]
@@ -467,7 +467,7 @@ class RecoveryManager:
                         / effective)
         return phase4_ns, pages_rebuilt
 
-    # -- cost model --------------------------------------------------------------------
+    # -- cost model -----------------------------------------------------------
 
     def _line_rebuild_cost_ns(self) -> int:
         """Gathering one line's stripe peers and writing the result."""

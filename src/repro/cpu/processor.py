@@ -206,7 +206,7 @@ class Processor:
             self._vaddrs = np.asarray(vaddrs, dtype=np.int64)
             self._writes = np.asarray(writes, dtype=bool)
 
-    # -- execution ---------------------------------------------------------------
+    # -- execution ------------------------------------------------------------
 
     def _run_batch(self) -> Optional[int]:
         if not self.columnar:

@@ -93,32 +93,54 @@ def run_job(app: str, variant: str, kwargs: Dict, observe: Observe
         return run_app(app, variant, profiler=profiler,
                        digest=observe.digest, **kwargs), None
 
-    from repro.obs.monitor import MonitorSuite, RunLedger, default_monitors
+    from repro.obs.monitor import MonitorSuite
     from repro.obs.tracer import JsonlFileSink, Tracer
-    from repro.workloads.splash2 import SPLASH2_SPECS
 
     base = observe.trace_base(app, variant)
-    capacity = None
-    if variant != "baseline":
-        capacity = kwargs.get("log_bytes_per_node", BENCH_LOG_BYTES)
-    suite = MonitorSuite(
-        default_monitors(interval_ns=kwargs.get("interval_ns"),
-                         log_capacity_bytes=capacity),
-        sink=JsonlFileSink(base + ".jsonl"))
+    suite = MonitorSuite(run_monitors(variant, kwargs),
+                         sink=JsonlFileSink(base + ".jsonl"))
     categories = (list(observe.trace_categories)
                   if observe.trace_categories is not None else None)
     tracer = Tracer(suite, categories=categories)
     result = run_app(app, variant, tracer=tracer, profiler=profiler,
                      digest=observe.digest, **kwargs)
     tracer.close()
+    manifest = write_ledger(base + ".ledger.json", app, variant, kwargs,
+                            suite, tracer, result=result)
+    return result, manifest
+
+
+def run_monitors(variant: str, kwargs: Dict) -> List:
+    """The standard monitor set for one run of ``variant`` with
+    :func:`run_app` kwargs ``kwargs``.
+
+    The log monitor's capacity is ``log_bytes_per_node`` (default
+    :data:`BENCH_LOG_BYTES`); the baseline keeps no log, so none.
+    """
+    from repro.obs.monitor import default_monitors
+
+    capacity = None
+    if variant != "baseline":
+        capacity = kwargs.get("log_bytes_per_node", BENCH_LOG_BYTES)
+    return default_monitors(interval_ns=kwargs.get("interval_ns"),
+                            log_capacity_bytes=capacity)
+
+
+def write_ledger(path: str, app: str, variant: str, kwargs: Dict,
+                 suite, tracer, result: Optional[RunResult] = None
+                 ) -> Dict:
+    """Finalize one run's ledger (seeded with the workload's registered
+    seed), write it to ``path`` and return its manifest."""
+    from repro.obs.monitor import RunLedger
+    from repro.workloads.splash2 import SPLASH2_SPECS
 
     spec = SPLASH2_SPECS.get(app)
     ledger = RunLedger(app, variant, run_args=kwargs,
                        seed=spec.seed if spec is not None else None)
     manifest = ledger.finalize(result=result, monitors=suite,
                                tracer=tracer)
-    ledger.write(base + ".ledger.json")
-    return result, manifest
+    ledger.write(path)
+    return manifest
 
 
 def run_cell(job: Tuple[str, str, Dict], observe: Observe):

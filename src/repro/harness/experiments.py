@@ -22,6 +22,7 @@ from repro.harness.runner import (
     run_app,
 )
 from repro.machine.config import MachineConfig
+from repro.obs.report import overhead_rows
 from repro.workloads.registry import APP_NAMES, paper_reference
 
 
@@ -74,16 +75,15 @@ def fig8_overhead(apps: Sequence[str] = None, scale: float = 1.0,
     repeated invocations) is then simulated once, not once per call.
     """
     cache = _open_store(cache_dir)
-    rows = []
+    times = {}
     for app in apps or APP_NAMES:
-        base = _cached_run_app(cache, app, "baseline", scale=scale)
-        row = {"app": app, "baseline_ns": base.execution_time_ns}
+        times[(app, "baseline")] = _cached_run_app(
+            cache, app, "baseline", scale=scale).execution_time_ns
         for variant in VARIANTS[1:]:
-            result = _cached_run_app(cache, app, variant, scale=scale,
-                                     interval_ns=interval_ns)
-            row[variant] = result.overhead_vs(base)
-        rows.append(row)
-    return rows
+            times[(app, variant)] = _cached_run_app(
+                cache, app, variant, scale=scale,
+                interval_ns=interval_ns).execution_time_ns
+    return overhead_rows(times)
 
 
 def fig8_summary(rows: List[Dict]) -> Dict[str, float]:

@@ -66,6 +66,7 @@ from repro.harness.executor import (
     run_jobs,
 )
 from repro.harness.runner import DEFAULT_INTERVAL_NS, VARIANTS, RunResult
+from repro.obs.report import overhead_rows
 from repro.workloads.registry import APP_NAMES
 
 __all__ = ["SweepResult", "default_workers", "run_sweep", "sweep_jobs"]
@@ -149,21 +150,11 @@ class SweepResult:
         """Figure-8-shaped rows: per-app overhead of each variant.
 
         Requires the sweep to include ``baseline``; other variants are
-        reported as fractional slowdown against it.
+        reported as fractional slowdown against it
+        (:func:`repro.obs.report.overhead_rows`).
         """
-        rows = []
-        for app in self.apps():
-            base = self.results.get((app, "baseline"))
-            if base is None:
-                raise ValueError(
-                    "overhead_rows needs the 'baseline' variant in the "
-                    "sweep")
-            row = {"app": app, "baseline_ns": base.execution_time_ns}
-            for (job_app, variant), result in self.results.items():
-                if job_app == app and variant != "baseline":
-                    row[variant] = result.overhead_vs(base)
-            rows.append(row)
-        return rows
+        return overhead_rows({job: result.execution_time_ns
+                              for job, result in self.results.items()})
 
     def to_jsonable(self) -> Dict:
         """A JSON-ready dict of the whole sweep (stable ordering)."""

@@ -103,7 +103,7 @@ def job_digest(app: str, variant: str, run_kwargs: Dict,
     same job would stamp into its manifest — the ledger is the oracle
     that makes cache hits provably equivalent to fresh runs.  ``seed``
     defaults to the workload's registered seed, mirroring the ledger
-    construction in :func:`repro.harness.executor.run_job`.
+    construction in :func:`repro.harness.executor.write_ledger`.
     """
     from repro.obs.monitor import RunLedger
     from repro.workloads.splash2 import SPLASH2_SPECS

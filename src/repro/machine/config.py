@@ -29,7 +29,7 @@ class MachineConfig:
 
     # --- topology -------------------------------------------------------
     n_nodes: int = 16
-    torus_width: int = 4               # 2-D torus of torus_width x torus_height
+    torus_width: int = 4               # torus_width x torus_height 2-D torus
     torus_height: int = 4
 
     # --- processor ------------------------------------------------------
@@ -138,9 +138,11 @@ class MachineConfig:
         if self.page_size % self.line_size != 0:
             raise ValueError("page_size must be a multiple of line_size")
         if self.l1_size > self.l2_size:
-            raise ValueError("L1 must not be larger than L2 (inclusive hierarchy)")
+            raise ValueError(
+                "L1 must not be larger than L2 (inclusive hierarchy)")
         if self.node_memory_bytes % self.page_size != 0:
-            raise ValueError("node_memory_bytes must be a multiple of page_size")
+            raise ValueError(
+                "node_memory_bytes must be a multiple of page_size")
         for name in ("n_nodes", "l1_assoc", "l2_assoc", "mem_banks", "ipc"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

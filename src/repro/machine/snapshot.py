@@ -19,7 +19,8 @@ What is *not* serialized, and why it is safe:
   ``attach_workload`` schedules processors in node order.
 * **Workload streams.**  Streams are pure functions of (workload spec,
   proc id); each processor records how many chunks it consumed and
-  restore replays that many (:meth:`repro.workloads.base.Workload.replay_stream`).
+  restore replays that many
+  (:meth:`repro.workloads.base.Workload.replay_stream`).
 * **Compiled batch closures.**  The columnar batch engine flushes its
   local counters at chunk and deadline boundaries — exactly the points
   where the machine is quiescent enough to snapshot — and is

@@ -64,7 +64,7 @@ class Machine:
         self.spans = NULL_SPANS
         #: Wall-clock profiler (None = profiling off, zero overhead).
         #: Set through :meth:`install_profiler` below so the engine's
-        #: attributed dispatch loop and the fast-path tier timers see it.
+        #: per-actor timers and the fast-path tier timers see it.
         self.profiler = None
         #: Determinism-observatory recorder (None = digesting off,
         #: zero overhead); install one with :meth:`install_digests`.
@@ -150,8 +150,8 @@ class Machine:
         ``host_prof`` (per-actor dispatch attribution, see
         ``sim/engine.py``), and drops any compiled fast-path closures
         so the next batch re-binds with (or without) the protocol
-        fallout timers.  Pass ``None`` to detach and return to the
-        zero-overhead dispatch loop.
+        fallout timers.  Pass ``None`` to detach; the engine then
+        times nothing.
         """
         self.profiler = profiler
         self.simulator.host_prof = profiler
@@ -262,7 +262,7 @@ class Machine:
             lines.extend(self.addr_space.lines_of_page(node, ppage))
         return lines
 
-    # -- workload attachment ------------------------------------------------------
+    # -- workload attachment --------------------------------------------------
 
     def attach_workload(self, workload) -> None:
         """Create one processor per workload thread and schedule them."""
@@ -279,7 +279,7 @@ class Machine:
             self.processors.append(proc)
             self.simulator.schedule(0, proc)
 
-    # -- run loop -----------------------------------------------------------------
+    # -- run loop -------------------------------------------------------------
 
     def run(self, until: Optional[int] = None) -> int:
         """Advance the simulation; returns the final simulated time.
@@ -391,7 +391,7 @@ class Machine:
         """Sum of references executed by all processors."""
         return sum(p.mem_refs for p in self.processors)
 
-    # -- store values ------------------------------------------------------------------
+    # -- store values ---------------------------------------------------------
 
     def next_store_value(self) -> int:
         """Globally unique value for each store (verification aid)."""
@@ -403,7 +403,7 @@ class Machine:
             return self._store_counter + (1 << 32)
         return self._store_counter
 
-    # -- workload barriers ----------------------------------------------------------------
+    # -- workload barriers ----------------------------------------------------
 
     def _alive_procs(self) -> int:
         return sum(1 for p in self.processors if not p.killed)
@@ -431,7 +431,7 @@ class Machine:
                                   + self.config.barrier_ns)
         return state.release_time
 
-    # -- checkpoints and snapshots ------------------------------------------------------------
+    # -- checkpoints and snapshots --------------------------------------------
 
     def commit_time_of_epoch(self, epoch: int) -> int:
         """Absolute commit time of checkpoint ``epoch``."""

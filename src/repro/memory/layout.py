@@ -278,7 +278,7 @@ class AddressSpace:
     # -- translation ---------------------------------------------------------
 
     def translate(self, vaddr: int, toucher_node: int) -> int:
-        """Map a virtual address to a physical one, allocating on first touch."""
+        """Map a virtual address to a physical one (first touch allocates)."""
         vpage = vaddr >> self._offset_bits
         base = self._page_table.get(vpage)
         if base is None:

@@ -13,11 +13,12 @@ spec (enough to rebuild it) plus its determinism digest chain
    last-agreeing window's commit (the chains agree there, so the state
    is shared by construction), captures that state as a fork image via
    the campaign snapshot machinery, replays *both* specs from the
-   image with per-activation digesting (the engine's ``digest_hook``
-   dispatch loop), and reports the first event after which the two
-   machine digests disagree — with the store-counter range the event
-   spans, so an injected perturbation (``REPRO_PERTURB_STORE``) is
-   pinned to the exact event that consumed it.
+   image with per-activation digesting (the engine's ``digest_hook``,
+   called after every actor call), and reports the first event after
+   which the two machine digests disagree — with the store-counter
+   range the event spans, so an injected perturbation
+   (``REPRO_PERTURB_STORE``) is pinned to the exact event that
+   consumed it.
 
 The file format is versioned (:data:`RUN_DIGEST_SCHEMA`) and the spec
 deliberately mirrors the CLI surface (app, variant, scale, nodes,

@@ -156,7 +156,7 @@ def _lint_prof(event: Dict, where: str, prof_block: Dict,
                problems: List[str]) -> None:
     """Stateful ``prof.*`` checks: attribution must sum to the run.
 
-    Per-actor host seconds partition the dispatch loop's wall clock,
+    Per-actor host seconds are a part of the run's wall clock,
     so within one ``prof.run`` block the ``prof.actor`` seconds must
     not exceed the run's ``wall_seconds`` (small float tolerance).
     The check closes at the next ``prof.run`` or at end-of-stream

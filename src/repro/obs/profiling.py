@@ -22,7 +22,7 @@ nest or re-enter; :attr:`Profiler.total_wall_seconds` relies on that
 when no outermost ``machine.run`` timer ran.
 
 Beyond component timers, a profiler carries the *host-time
-attribution* maps filled by the engine's attributed dispatch loop
+attribution* maps filled by the engine's per-actor timers
 (:meth:`repro.sim.engine.Simulator.run` with ``host_prof`` set) and
 the fast-path tier instrumentation (``cpu/processor.py`` /
 ``cpu/columnar.py``):

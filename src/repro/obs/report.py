@@ -106,39 +106,42 @@ def _bucket_curve(samples: List[Tuple[int, int]],
     return curve
 
 
-def overhead_rows_from_ledgers(ledgers: List[Dict]) -> List[Dict]:
-    """Figure-8-shaped rows from ledger manifests alone.
+def overhead_rows(times: Dict[Tuple[str, str], int]) -> List[Dict]:
+    """Figure-8-shaped rows from ``{(app, variant): execution_time_ns}``.
 
-    Matches ``SweepResult.overhead_rows()`` bit-for-bit when fed the
-    ledgers of the same sweep in canonical order: identical row order,
-    keys, and float arithmetic (``time / base - 1.0`` on the same
-    integers).
+    One row per app, in first-appearance order: ``{"app",
+    "baseline_ns", variant: time / base - 1.0, ...}`` with the variants
+    in map order.  The one Figure 8 row builder: sweeps, serve reports,
+    ``fig8_overhead`` and ledger reports all feed it, so their rows
+    agree bit-for-bit.
     """
-    times: Dict[Tuple[str, str], int] = {}
-    apps: List[str] = []
-    variants: Dict[str, List[str]] = {}
-    for manifest in ledgers:
-        result = manifest.get("result")
-        if result is None:
-            continue
-        app, variant = manifest["app"], manifest["variant"]
-        times[(app, variant)] = result["execution_time_ns"]
-        if app not in apps:
-            apps.append(app)
-        variants.setdefault(app, []).append(variant)
     rows = []
-    for app in apps:
+    for app in dict.fromkeys(app for app, _variant in times):
         base = times.get((app, "baseline"))
         if base is None:
-            raise ValueError(
-                "overhead rows need the 'baseline' variant ledger for "
-                f"app {app!r}")
+            raise ValueError("overhead rows need the 'baseline' variant "
+                             f"for app {app!r}")
+        if base <= 0:
+            raise ValueError("baseline has no execution time")
         row: Dict = {"app": app, "baseline_ns": base}
-        for variant in variants[app]:
-            if variant != "baseline":
-                row[variant] = (times[(app, variant)] / base) - 1.0
+        for (row_app, variant), time in times.items():
+            if row_app == app and variant != "baseline":
+                row[variant] = time / base - 1.0
         rows.append(row)
     return rows
+
+
+def overhead_rows_from_ledgers(ledgers: List[Dict]) -> List[Dict]:
+    """:func:`overhead_rows` from ledger manifests alone.
+
+    Fed the ledgers of a sweep in canonical order, the rows equal
+    ``SweepResult.overhead_rows()``; manifests without a result are
+    skipped.
+    """
+    return overhead_rows({
+        (manifest["app"], manifest["variant"]):
+            manifest["result"]["execution_time_ns"]
+        for manifest in ledgers if manifest.get("result") is not None})
 
 
 def gather_runs(paths: List[str]) -> List[Dict]:

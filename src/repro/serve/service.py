@@ -69,6 +69,7 @@ from repro.harness.store import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitor import CacheHealthMonitor, MonitorSuite
+from repro.obs.report import overhead_rows
 from repro.obs.telemetry import prometheus_text
 from repro.obs.tracer import SCHEMA_VERSION, Tracer
 from repro.workloads.registry import APP_NAMES
@@ -464,16 +465,9 @@ class SimulationService:
                           result=dataclasses.asdict(result))
 
             if req["op"] == "report":
-                rows = []
-                for app in req["apps"]:
-                    base, _ = results[(app, "baseline")]
-                    row = {"app": app,
-                           "baseline_ns": base.execution_time_ns}
-                    for variant in req["variants"]:
-                        if variant != "baseline":
-                            row[variant] = \
-                                results[(app, variant)][0].overhead_vs(base)
-                    rows.append(row)
+                rows = overhead_rows({
+                    cell: result.execution_time_ns
+                    for cell, (result, _manifest) in results.items()})
                 yield env("svc.report", key=key, rows=rows)
 
             total_s = perf_counter() - started

@@ -94,6 +94,70 @@ class EventQueue:
         return bool(self._heap)
 
 
+def _timed(actor: Callable, cell: List) -> Callable:
+    """Wrap ``actor`` to time each call into ``cell`` (seconds, calls)."""
+    def timed(now: int) -> Optional[int]:
+        begin = perf_counter()
+        next_activation = actor(now)
+        cell[0] += perf_counter() - begin
+        cell[1] += 1
+        return next_activation
+    return timed
+
+
+def _digested(actor: Callable, hook: Callable[[], None]) -> Callable:
+    """Wrap ``actor`` to call ``hook()`` after every activation."""
+    def digested(now: int) -> Optional[int]:
+        next_activation = actor(now)
+        hook()
+        return next_activation
+    return digested
+
+
+class _ObservedActors(dict):
+    """The actor table of one observed :meth:`Simulator.run` call.
+
+    Maps an actor id to a wrapper around ``actors[id]``, built on first
+    dispatch, so an actor registered mid-run is observed too.  The
+    ``host_prof`` wrapper times each call into a ``[seconds,
+    activations]`` cell that :meth:`flush` charges once per run; the
+    ``digest_hook`` wrapper calls the hook after each activation,
+    outside the timed bracket.  Both compose.
+    """
+
+    __slots__ = ("actors", "prof", "digest_hook", "cells")
+
+    def __init__(self, sim: "Simulator") -> None:
+        super().__init__()
+        self.actors = sim.actors
+        self.prof = sim.host_prof
+        self.digest_hook = sim.digest_hook
+        self.cells: Dict[int, List] = {}
+
+    def __missing__(self, actor_id: int) -> Callable:
+        call = self.actors[actor_id]
+        if self.prof is not None:
+            call = _timed(call, self.cells.setdefault(actor_id, [0.0, 0]))
+        if self.digest_hook is not None:
+            call = _digested(call, self.digest_hook)
+        self[actor_id] = call
+        return call
+
+    def flush(self) -> None:
+        """Charge each dispatched actor's cell to the profiler, labelled
+        ``(node, kind)`` on first sight."""
+        prof = self.prof
+        for actor_id, (seconds, activations) in self.cells.items():
+            prof.note_actor(actor_id, seconds, activations)
+            if actor_id not in prof.actor_meta:
+                actor = self.actors[actor_id]
+                node = getattr(actor, "node_id",
+                               getattr(actor, "proc_id", None))
+                kind = type(getattr(actor, "__self__", actor)).__name__
+                prof.label_actor(actor_id,
+                                 node if node is not None else -1, kind)
+
+
 class Simulator:
     """Drives actors until all are finished or a time horizon is reached.
 
@@ -126,17 +190,16 @@ class Simulator:
         self.tracer = NULL_TRACER
         #: Host-time attribution sink (a
         #: :class:`~repro.obs.profiling.Profiler`), or ``None`` — the
-        #: default — in which case :meth:`run` takes the unmetered
-        #: dispatch loop and pays nothing.  Deliberately host-side
-        #: state: :meth:`snapshot`/:meth:`restore` never touch it.
+        #: default — in which case :meth:`run` times nothing.
+        #: Deliberately host-side state: :meth:`snapshot`/:meth:`restore`
+        #: never touch it.
         self.host_prof = None
         #: Event-granularity digest hook (determinism observatory,
         #: docs/OBSERVABILITY.md): a zero-argument callable invoked
-        #: after *every* actor activation, or ``None`` — the default —
-        #: in which case :meth:`run` takes the unmetered loop.  Used
-        #: only by ``repro diff --bisect`` replays; like ``host_prof``
-        #: it is deliberately host-side state that snapshots never
-        #: touch.
+        #: after *every* actor activation, or ``None`` — the default.
+        #: Used only by ``repro diff --bisect`` replays; like
+        #: ``host_prof`` it is deliberately host-side state that
+        #: snapshots never touch.
         self.digest_hook = None
         #: Registered actors, indexed by actor id (registration order).
         self.actors: List[Callable[[int], Optional[int]]] = []
@@ -156,13 +219,15 @@ class Simulator:
             self._actor_ids[id(actor)] = actor_id
         return actor_id
 
-    def schedule(self, time: int, actor: Callable[[int], Optional[int]]) -> None:
+    def schedule(self, time: int,
+                 actor: Callable[[int], Optional[int]]) -> None:
         """Enqueue an actor's first activation (registering it if new)."""
         self.queue.push(time, self.register_actor(actor))
 
     def set_global_hook(self, first_time: Optional[int],
                         hook: Callable[[int], Optional[int]]) -> None:
-        """Install ``hook`` to fire once simulated time reaches ``first_time``."""
+        """Install ``hook`` to fire when simulated time reaches
+        ``first_time``."""
         self._hook = hook
         self._hook_time = first_time
 
@@ -209,13 +274,16 @@ class Simulator:
         ``sim.run_end`` bracketing this call, ``sim.hook_fire`` at
         each global-hook trigger, and ``sim.actor_retire`` when an
         actor returns ``None``.
+
+        Observation (``host_prof``, ``digest_hook``) wraps the actor
+        calls (:class:`_ObservedActors`), never this loop, so observed
+        and unobserved runs dispatch identically.
         """
-        if self.digest_hook is not None:
-            return self._run_digested(until)
-        if self.host_prof is not None:
-            return self._run_attributed(until)
         tracer = self.tracer
         actors = self.actors
+        observed = None
+        if self.host_prof is not None or self.digest_hook is not None:
+            actors = observed = _ObservedActors(self)
         if tracer.enabled:
             tracer.emit(self.now, "sim", "sim.run_begin", until=until,
                         pending=len(self.queue))
@@ -255,7 +323,8 @@ class Simulator:
                 if next_activation is None:
                     if tracer.enabled:
                         tracer.emit(self.now, "sim", "sim.actor_retire",
-                                    actor=getattr(actor, "proc_id", None))
+                                    actor=getattr(self.actors[actor_id],
+                                                  "proc_id", None))
                     break
                 if self.queue:
                     # Another actor is pending — interleave via the heap.
@@ -271,149 +340,15 @@ class Simulator:
                     self.queue.push(next_activation, actor_id)
                     break
                 time = next_activation
+        if observed is not None:
+            observed.flush()
         if tracer.enabled:
             tracer.emit(self.now, "sim", "sim.run_end",
                         activations=self.activations)
         return self.now
 
-    def _run_attributed(self, until: Optional[int] = None) -> int:
-        """:meth:`run` with per-actor host-time attribution.
-
-        Structurally identical to :meth:`run` — same hook, horizon,
-        batching, retirement, and trace semantics, so simulated results
-        are bit-identical — but every ``actor(time)`` call is bracketed
-        by ``perf_counter`` reads.  Seconds and activation counts
-        accumulate in a local dict (one list per actor, mutated in
-        place) and flush into :attr:`host_prof` once per :meth:`run`
-        call, keeping per-activation overhead to the two clock reads.
-        """
-        prof = self.host_prof
-        attributed: Dict[int, List] = {}
-        tracer = self.tracer
-        actors = self.actors
-        if tracer.enabled:
-            tracer.emit(self.now, "sim", "sim.run_begin", until=until,
-                        pending=len(self.queue))
-        while self.queue:
-            next_time = self.queue.peek_time()
-            if (self._hook is not None and self._hook_time is not None
-                    and next_time is not None
-                    and next_time >= self._hook_time):
-                if until is not None and self._hook_time > until:
-                    break
-                self.now = max(self.now, self._hook_time)
-                if tracer.enabled:
-                    tracer.emit(self._hook_time, "sim", "sim.hook_fire")
-                self._hook_time = self._hook(self._hook_time)
-                continue
-            if until is not None and next_time is not None \
-                    and next_time > until:
-                break
-            time, actor_id = self.queue.pop()
-            actor = actors[actor_id]
-            cell = attributed.get(actor_id)
-            if cell is None:
-                cell = attributed[actor_id] = [0.0, 0]
-            while True:
-                self.now = max(self.now, time)
-                self.activations += 1
-                begin = perf_counter()
-                next_activation = actor(time)
-                cell[0] += perf_counter() - begin
-                cell[1] += 1
-                if next_activation is None:
-                    if tracer.enabled:
-                        tracer.emit(self.now, "sim", "sim.actor_retire",
-                                    actor=getattr(actor, "proc_id", None))
-                    break
-                if self.queue:
-                    self.queue.push(next_activation, actor_id)
-                    break
-                if (self._hook is not None and self._hook_time is not None
-                        and next_activation >= self._hook_time):
-                    self.queue.push(next_activation, actor_id)
-                    break
-                if until is not None and next_activation > until:
-                    self.queue.push(next_activation, actor_id)
-                    break
-                time = next_activation
-        for actor_id, cell in attributed.items():
-            prof.note_actor(actor_id, cell[0], cell[1])
-            if actor_id not in prof.actor_meta:
-                actor = actors[actor_id]
-                node = getattr(actor, "node_id",
-                               getattr(actor, "proc_id", None))
-                kind = type(getattr(actor, "__self__", actor)).__name__
-                prof.label_actor(actor_id,
-                                 node if node is not None else -1, kind)
-        if tracer.enabled:
-            tracer.emit(self.now, "sim", "sim.run_end",
-                        activations=self.activations)
-        return self.now
-
-    def _run_digested(self, until: Optional[int] = None) -> int:
-        """:meth:`run` with a per-activation digest hook.
-
-        Structurally identical to :meth:`run` — same hook, horizon,
-        batching, retirement, and trace semantics, so simulated results
-        are bit-identical — but :attr:`digest_hook` is called after
-        every ``actor(time)`` return, i.e. at every event boundary,
-        where batch closures have flushed their local counters and the
-        machine state is coherent enough to fingerprint.  This loop is
-        expensive by design (the hook typically digests the whole
-        machine); it exists for divergence bisection replays over a
-        single checkpoint window, never for production runs.
-        """
-        hook = self.digest_hook
-        tracer = self.tracer
-        actors = self.actors
-        if tracer.enabled:
-            tracer.emit(self.now, "sim", "sim.run_begin", until=until,
-                        pending=len(self.queue))
-        while self.queue:
-            next_time = self.queue.peek_time()
-            if (self._hook is not None and self._hook_time is not None
-                    and next_time is not None
-                    and next_time >= self._hook_time):
-                if until is not None and self._hook_time > until:
-                    break
-                self.now = max(self.now, self._hook_time)
-                if tracer.enabled:
-                    tracer.emit(self._hook_time, "sim", "sim.hook_fire")
-                self._hook_time = self._hook(self._hook_time)
-                continue
-            if until is not None and next_time is not None \
-                    and next_time > until:
-                break
-            time, actor_id = self.queue.pop()
-            actor = actors[actor_id]
-            while True:
-                self.now = max(self.now, time)
-                self.activations += 1
-                next_activation = actor(time)
-                hook()
-                if next_activation is None:
-                    if tracer.enabled:
-                        tracer.emit(self.now, "sim", "sim.actor_retire",
-                                    actor=getattr(actor, "proc_id", None))
-                    break
-                if self.queue:
-                    self.queue.push(next_activation, actor_id)
-                    break
-                if (self._hook is not None and self._hook_time is not None
-                        and next_activation >= self._hook_time):
-                    self.queue.push(next_activation, actor_id)
-                    break
-                if until is not None and next_activation > until:
-                    self.queue.push(next_activation, actor_id)
-                    break
-                time = next_activation
-        if tracer.enabled:
-            tracer.emit(self.now, "sim", "sim.run_end",
-                        activations=self.activations)
-        return self.now
-
-    def drain_rebuild(self, reschedule: Callable[[Callable], Optional[int]]) -> None:
+    def drain_rebuild(
+            self, reschedule: Callable[[Callable], Optional[int]]) -> None:
         """Empty the queue and re-enqueue each actor at a new time.
 
         ``reschedule(actor)`` returns the actor's new activation time or

@@ -40,7 +40,8 @@ class TrafficBreakdown:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.bytes_by_category: Dict[str, int] = {c: 0 for c in TRAFFIC_CATEGORIES}
+        self.bytes_by_category: Dict[str, int] = {
+            c: 0 for c in TRAFFIC_CATEGORIES}
 
     def add(self, category: str, nbytes: int) -> None:
         """Increase the counter/bucket by ``amount``/``nbytes``."""

@@ -150,7 +150,7 @@ class SyntheticWorkload(Workload):
             yield from self._emit(rng, addrs, writes)
             yield ("barrier",)
 
-    # -- populations ------------------------------------------------------------
+    # -- populations ----------------------------------------------------------
 
     def _first_touch(self, proc_id: int) -> Tuple[np.ndarray, np.ndarray]:
         spec = self.spec
@@ -231,7 +231,7 @@ class SyntheticWorkload(Workload):
             return patterns.zipf_lines(rng, base, spec.stream_lines, count)
         return patterns.random_lines(rng, base, spec.stream_lines, count)
 
-    # -- sharing styles ------------------------------------------------------------
+    # -- sharing styles -------------------------------------------------------
 
     def _shard(self, proc_id: int) -> Tuple[int, int]:
         """(lines, base address) of this processor's shared shard."""
@@ -308,7 +308,7 @@ class SyntheticWorkload(Workload):
                                        count)
         return addrs, np.zeros(count, dtype=bool)
 
-    # -- chunk emission ---------------------------------------------------------------
+    # -- chunk emission -------------------------------------------------------
 
     def _emit(self, rng: np.random.Generator, addrs: np.ndarray,
               writes: np.ndarray) -> Iterator[WorkloadChunk]:

@@ -8,6 +8,9 @@ import pytest
 from repro.core.config import ReViveConfig
 from repro.machine.config import MachineConfig
 from repro.machine.system import Machine
+from repro.obs.profiling import Profiler
+from repro.obs.tracer import RingBufferSink, Tracer
+from repro.sim.engine import Simulator
 
 
 class ToyWorkload:
@@ -93,3 +96,44 @@ def run_toy(machine: Machine, workload: ToyWorkload = None,
     machine.attach_workload(workload or ToyWorkload())
     machine.run(until=until)
     return machine
+
+
+#: Engine observation modes: which of ``host_prof`` / ``digest_hook``
+#: a simulator carries.  Observation must never change the run.
+OBSERVATION_MODES = ("none", "host_prof", "digest_hook", "both")
+
+
+def _observed_simulator(mode: str):
+    """A fresh traced ``(simulator, profiler, digest calls)`` in ``mode``."""
+    sim = Simulator()
+    sim.tracer = Tracer(RingBufferSink(), categories={"sim"})
+    prof = digests = None
+    if mode in ("host_prof", "both"):
+        prof = sim.host_prof = Profiler()
+    if mode in ("digest_hook", "both"):
+        digests = []
+        sim.digest_hook = lambda: digests.append(sim.now)
+    return sim, prof, digests
+
+
+def run_in_observation_modes(scenario) -> None:
+    """Run ``scenario(sim)`` on a fresh simulator in every mode.
+
+    Every observed run's ``(now, activations, sim.* events)`` must
+    equal the unobserved run's; the digest hook must fire once per
+    activation; the profiler's attributed activations must sum to
+    ``activations``, with every attributed actor labelled.
+    """
+    records = {}
+    for mode in OBSERVATION_MODES:
+        sim, prof, digests = _observed_simulator(mode)
+        scenario(sim)
+        if prof is not None:
+            assert sum(cell[1] for cell in prof.actors.values()) \
+                == sim.activations, mode
+            assert set(prof.actor_meta) == set(prof.actors), mode
+        if digests is not None:
+            assert len(digests) == sim.activations, mode
+        records[mode] = (sim.now, sim.activations,
+                         sim.tracer.sink.events())
+        assert records[mode] == records["none"], mode

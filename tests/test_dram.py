@@ -1,7 +1,5 @@
 """Unit tests for the DRAM timing model."""
 
-import pytest
-
 from repro.machine.config import MachineConfig
 from repro.memory.dram import MemoryTimingModel
 

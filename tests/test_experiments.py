@@ -85,7 +85,8 @@ class TestEndToEndDriver:
         assert result.target_epoch == 1
 
     def test_fig12_transient_variant(self):
-        exps = E.fig12_recovery(apps=["lu"], scale=0.6, interval_ns=100_000, lost_node=None)
+        exps = E.fig12_recovery(apps=["lu"], scale=0.6,
+                                interval_ns=100_000, lost_node=None)
         result = exps[0].result
         assert result.lost_node is None
         assert result.phase2_ns == 0

@@ -4,9 +4,6 @@ import pytest
 
 from conftest import ToyWorkload, build_tiny_machine, run_toy
 
-from repro.machine.config import MachineConfig
-from repro.machine.system import Machine
-
 
 class TestAssembly:
     def test_baseline_has_no_revive_parts(self):

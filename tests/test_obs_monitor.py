@@ -18,7 +18,6 @@ from repro.obs import (
     CheckpointCadenceMonitor,
     LogOccupancyMonitor,
     MemTrafficMonitor,
-    Monitor,
     MonitorSuite,
     RecoveryMonitor,
     RingBufferSink,

@@ -34,7 +34,8 @@ class TestEnvelope:
         tracer = Tracer(sink=sink)
         for i, cat in enumerate(CATEGORIES):
             tracer.emit(i, cat, f"{cat}.x")
-        assert [e["seq"] for e in sink.events()] == list(range(len(CATEGORIES)))
+        assert [e["seq"] for e in sink.events()] == \
+            list(range(len(CATEGORIES)))
         assert tracer.events_emitted == len(CATEGORIES)
 
 

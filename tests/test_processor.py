@@ -1,11 +1,10 @@
 """Unit tests for the processor model."""
 
 import numpy as np
-import pytest
 
 from conftest import build_tiny_machine
 
-from repro.cpu.processor import BARRIER_POLL_NS, Processor
+from repro.cpu.processor import BARRIER_POLL_NS
 
 
 def ops_chunk(addrs, writes=None, gaps=None):

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from tests.test_snapshot_oracle import (
     APPS,
-    INTERVAL_NS,
     REVIVE_VARIANTS,
     build,
     fingerprint,

@@ -2,9 +2,6 @@
 
 import dataclasses
 
-import numpy as np
-import pytest
-
 from conftest import ToyWorkload, build_tiny_machine, run_toy
 
 from repro.machine.config import MachineConfig
