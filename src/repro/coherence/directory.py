@@ -14,11 +14,17 @@ event after each stable-state change and :meth:`Directory.clear_all`
 emits ``coh.clear`` when recovery wipes the directory.  The protocol
 engine guards each call with ``directory.tracer.enabled`` so untraced
 transitions cost one attribute read.
+
+Restore is deferred: :meth:`Directory.restore` keeps the image's rows
+as *pending* and builds their :class:`DirEntry` objects only when
+something first reads the directory.  A fault that wipes the directory
+right after a restore (every forked campaign scenario) drops the rows
+unbuilt.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.obs.tracer import NULL_TRACER
 
@@ -62,13 +68,19 @@ class DirEntry:
 
 
 class Directory:
-    """Lazily-populated map of line address -> :class:`DirEntry`."""
+    """Lazily-populated map of line address -> :class:`DirEntry`.
 
-    __slots__ = ("node", "_entries", "tracer")
+    ``_pending`` holds the rows of a restored image that no read has
+    needed yet (``None`` otherwise); while it is set ``_entries`` is
+    empty, so every lookup misses and the miss branch builds the rows.
+    """
+
+    __slots__ = ("node", "_entries", "_pending", "tracer")
 
     def __init__(self, node: int) -> None:
         self.node = node
         self._entries: Dict[int, DirEntry] = {}
+        self._pending: Optional[List[list]] = None
         #: Trace sink for ``coh.*`` events (``NULL_TRACER`` when off).
         self.tracer = NULL_TRACER
 
@@ -76,17 +88,23 @@ class Directory:
         """Get (or lazily create) the line's directory entry."""
         entry = self._entries.get(line_addr)
         if entry is None:
+            if self._pending is not None:
+                self._all_entries()
+                return self.entry(line_addr)
             entry = DirEntry()
             self._entries[line_addr] = entry
         return entry
 
     def peek(self, line_addr: int) -> Optional[DirEntry]:
         """Look up without creating or disturbing state."""
-        return self._entries.get(line_addr)
+        entry = self._entries.get(line_addr)
+        if entry is None and self._pending is not None:
+            return self._all_entries().get(line_addr)
+        return entry
 
     def entries(self) -> Iterator[Tuple[int, DirEntry]]:
         """Iterate over (line address, entry) pairs."""
-        return iter(self._entries.items())
+        return iter(self._all_entries().items())
 
     def trace_transition(self, line_addr: int, entry: DirEntry,
                          at: int) -> None:
@@ -108,9 +126,11 @@ class Directory:
         tracing is enabled.
         """
         if self.tracer.enabled:
+            pending = len(self._pending) if self._pending is not None else 0
             self.tracer.emit(at, "coh", "coh.clear", node=self.node,
-                             entries=len(self._entries))
+                             entries=len(self._entries) + pending)
         self._entries.clear()
+        self._pending = None
 
     def snapshot(self) -> Dict:
         """Plain-data state: entries in insertion order.
@@ -122,18 +142,32 @@ class Directory:
         """
         return {"entries": [[addr, e.state, sorted(e.sharers), e.owner,
                              e.busy_until]
-                            for addr, e in self._entries.items()]}
+                            for addr, e in self._all_entries().items()]}
 
     def restore(self, state: Dict) -> None:
-        """Reinstate a :meth:`snapshot`."""
+        """Reinstate a :meth:`snapshot`, deferred until first use.
+
+        The image's rows are kept, not copied: they are only ever read
+        (by :meth:`_all_entries`), never mutated or handed out, so the
+        image stays read-only (docs/SNAPSHOTS.md).
+        """
         self._entries.clear()
-        for addr, dir_state, sharers, owner, busy_until in state["entries"]:
-            entry = DirEntry()
-            entry.state = dir_state
-            entry.sharers = set(sharers)
-            entry.owner = owner
-            entry.busy_until = busy_until
-            self._entries[addr] = entry
+        self._pending = state["entries"] or None
+
+    def _all_entries(self) -> Dict[int, DirEntry]:
+        """The entry map, with any pending image rows built into it
+        first, in image order."""
+        rows, self._pending = self._pending, None
+        if rows is not None:
+            entries = self._entries
+            for addr, dir_state, sharers, owner, busy_until in rows:
+                entry = DirEntry()
+                entry.state = dir_state
+                entry.sharers = set(sharers)
+                entry.owner = owner
+                entry.busy_until = busy_until
+                entries[addr] = entry
+        return self._entries
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._all_entries())

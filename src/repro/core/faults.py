@@ -13,7 +13,9 @@ Two fault models cover the paper's recovery scenarios:
 
 A fault is *applied* to a paused machine; the benchmark harness runs
 the workload up to the detection time, applies the fault, and invokes
-:class:`repro.core.recovery.RecoveryManager`.
+:class:`repro.core.recovery.RecoveryManager`.  Its trace events (the
+directories' ``coh.clear``) are stamped at the paused machine's
+simulated time.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ class NodeLossFault:
         node = machine.nodes[self.node]
         node.memory.destroy()
         node.hierarchy.clear()
-        node.directory.clear_all()
+        node.directory.clear_all(at=machine.simulator.now)
         if self.node < len(machine.processors):
             machine.processors[self.node].kill()
         machine.stats.counter("fault.node_loss").add()
@@ -62,7 +64,7 @@ class TransientSystemFault:
         """Inflict this fault on the machine."""
         for node in machine.nodes:
             node.hierarchy.clear()
-            node.directory.clear_all()
+            node.directory.clear_all(at=machine.simulator.now)
         machine.stats.counter("fault.transient").add()
 
     @property

@@ -35,6 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.obs.tracer import NULL_TRACER
 
 ENTRIES_PER_BLOCK = 8
@@ -49,6 +51,8 @@ _ADDR_BITS = 40
 #: Address-field pattern marking a checkpoint commit record.
 _COMMIT_PATTERN = (1 << _ADDR_BITS) - 1
 _WORD_MASK = (1 << 64) - 1
+_META_BYTES = 8 * ENTRIES_PER_BLOCK
+_META_MASK = (1 << (8 * _META_BYTES)) - 1
 
 
 class LogOverflowError(RuntimeError):
@@ -272,9 +276,18 @@ class MemoryLog:
 
     # -- rollback support -----------------------------------------------------
 
+    def scan_region(self, read_line: Callable[[int], int]) -> "RegionScan":
+        """Read the region's metadata words once (see :class:`RegionScan`).
+
+        The log's single decoder: every view of the region's records —
+        :meth:`decode_region`, :meth:`find_commit_records`,
+        :meth:`entries_to_undo` — is a selection over one scan.
+        """
+        return RegionScan(self.region_lines, self.n_blocks, read_line)
+
     def entries_to_undo(self, target_epoch: int, upto_epoch: int,
                         read_line: Callable[[int], int],
-                        decoded: Optional[List[LogEntry]] = None
+                        decoded: Optional["RegionScan"] = None
                         ) -> List[LogEntry]:
         """Decode entries with epoch in [target, upto], newest first.
 
@@ -287,55 +300,28 @@ class MemoryLog:
         one log wrap, which the 7-bit epoch field imposes — a real
         implementation would widen the field or scrub markers).
 
-        ``decoded`` is this region's :meth:`decode_region` output when
-        the caller already has it (recovery decodes each region once);
-        ``read_line`` is then not consulted.
+        ``decoded`` is this region's :meth:`scan_region` when the caller
+        already has it (recovery scans each region once); ``read_line``
+        is then not consulted.
         """
-        keep_epochs = {e % _EPOCH_MOD for e in
-                       range(target_epoch, upto_epoch + 1)}
         if decoded is None:
-            decoded = self.decode_region(read_line)
-        live = [e for e in decoded
-                if e.is_data and e.epoch in keep_epochs]
-        rebase = unwrap_sequence([e.seq for e in live])
-        live.sort(key=lambda e: rebase[e.seq], reverse=True)
-        return live
+            decoded = self.scan_region(read_line)
+        return decoded.undo_window(target_epoch, upto_epoch)
 
     def find_commit_records(self,
                             read_line: Callable[[int], int]) -> List[LogEntry]:
         """All decodable commit records (two-phase-commit evidence)."""
-        return [e for e in self.decode_region(read_line) if e.is_commit]
+        return self.scan_region(read_line).commits()
 
     def decode_region(self,
                       read_line: Callable[[int], int]) -> List[LogEntry]:
         """Decode every valid record findable in the region's memory.
 
-        Block-granular: one metadata-line read per block, an entry-line
-        read only for a slot whose marker is valid.  Blocks whose
-        metadata line reads as zero (never written) are skipped whole.
-        Records come out in ring-position order.
+        One metadata-line read per block, an entry-line read only for a
+        slot whose marker is valid.  Records come out in ring-position
+        order.
         """
-        out: List[LogEntry] = []
-        region = self.region_lines
-        for base in range(0, self.n_blocks * LINES_PER_BLOCK,
-                          LINES_PER_BLOCK):
-            meta = read_line(region[base])
-            if not meta:
-                continue
-            for within in range(ENTRIES_PER_BLOCK):
-                word = (meta >> (64 * within)) & _WORD_MASK
-                if not word & 1:
-                    continue
-                addr_field, epoch, seq, _valid = _unpack_word(word)
-                value = read_line(region[base + 1 + within])
-                if addr_field == _COMMIT_PATTERN:
-                    out.append(LogEntry(addr=-1, epoch=epoch, seq=seq,
-                                        value=value, is_commit=True))
-                else:
-                    out.append(LogEntry(addr=addr_field << 6, epoch=epoch,
-                                        seq=seq, value=value,
-                                        is_commit=False))
-        return out
+        return self.scan_region(read_line).records()
 
     def reset_to_epoch(self, target_epoch: int) -> None:
         """After rollback, drop undone entries and resume at the target."""
@@ -383,3 +369,80 @@ class MemoryLog:
     def slots_used(self) -> int:
         """Live entry slots between tail and head."""
         return self.head - self.tail
+
+
+class RegionScan:
+    """A log region's metadata words, read once, as per-slot columns.
+
+    The scan reads each block's metadata line and unpacks its eight
+    packed words in one NumPy pass; only the slots whose valid marker
+    is set are kept, in ring-position order.  Entry lines are read — and
+    :class:`LogEntry` objects built — only for the records a view asks
+    for, so a caller that needs the undo window of a wrapped ring pays
+    for that window, not for every stale record behind it.  ``len()``
+    counts every valid marker without reading an entry line.
+
+    Entry lines are read when a view is taken, through the
+    ``read_line`` the scan was made with: the scan stays valid as long
+    as nothing writes the region, which holds throughout recovery.
+    """
+
+    __slots__ = ("_region", "_read_line", "_positions", "_epochs",
+                 "_seqs", "_addrs", "_commits")
+
+    def __init__(self, region_lines: Sequence[int], n_blocks: int,
+                 read_line: Callable[[int], int]) -> None:
+        metas = b"".join(
+            (read_line(region_lines[base]) & _META_MASK).to_bytes(
+                _META_BYTES, "little")
+            for base in range(0, n_blocks * LINES_PER_BLOCK,
+                              LINES_PER_BLOCK))
+        words = np.frombuffer(metas, dtype="<u8")
+        positions = np.flatnonzero(words & 1)
+        words = words[positions]
+        self._region = region_lines
+        self._read_line = read_line
+        self._positions = positions
+        self._epochs = (words >> 1) & (_EPOCH_MOD - 1)
+        self._seqs = (words >> 8) & (_SEQ_MOD - 1)
+        self._addrs = words >> 24
+        self._commits = self._addrs == _COMMIT_PATTERN
+
+    def __len__(self) -> int:
+        return len(self._positions)
+
+    def _materialise(self, picks: np.ndarray) -> List[LogEntry]:
+        """Read the entry lines of the picked slots; ring order."""
+        region, read = self._region, self._read_line
+        out: List[LogEntry] = []
+        for pos, epoch, seq, addr, commit in zip(
+                self._positions[picks].tolist(),
+                self._epochs[picks].tolist(), self._seqs[picks].tolist(),
+                self._addrs[picks].tolist(), self._commits[picks].tolist()):
+            block, within = divmod(pos, ENTRIES_PER_BLOCK)
+            value = read(region[block * LINES_PER_BLOCK + 1 + within])
+            out.append(LogEntry(addr=-1 if commit else addr << 6,
+                                epoch=epoch, seq=seq, value=value,
+                                is_commit=commit))
+        return out
+
+    def records(self) -> List[LogEntry]:
+        """Every valid record, in ring-position order."""
+        return self._materialise(np.arange(len(self._positions)))
+
+    def commits(self) -> List[LogEntry]:
+        """The commit records, in ring-position order."""
+        return self._materialise(np.flatnonzero(self._commits))
+
+    def undo_window(self, target_epoch: int,
+                    upto_epoch: int) -> List[LogEntry]:
+        """Data records with epoch in [target, upto], newest first
+        (see :meth:`MemoryLog.entries_to_undo`)."""
+        keep = np.zeros(_EPOCH_MOD, dtype=bool)
+        keep[[e % _EPOCH_MOD
+              for e in range(target_epoch, upto_epoch + 1)]] = True
+        live = self._materialise(
+            np.flatnonzero(keep[self._epochs] & ~self._commits))
+        rebase = unwrap_sequence([e.seq for e in live])
+        live.sort(key=lambda e: rebase[e.seq], reverse=True)
+        return live

@@ -7,8 +7,9 @@ Recovery runs in four phases:
   processors, from the Hive/FLASH numbers the paper adopts).
 * **Phase 2** — only after memory loss: the lost node's *log region* is
   reconstructed by XORing the surviving members of each stripe.
-  Afterwards every node's log is decoded from memory alone — once per
-  recovery; the committed-epoch scan and the rollback share the result.
+  Afterwards every node's log is scanned from memory alone — once per
+  recovery; the committed-epoch check and the rollback share the scan,
+  and each reads only the records it needs.
 * **Phase 3** — rollback: every node's log entries belonging to epochs
   newer than the recovery target are applied *newest first*, restoring
   each line's checkpoint pre-image.  Lost data pages touched by the
@@ -16,8 +17,11 @@ Recovery runs in four phases:
   them.  At the end the caches and directories are invalidated and
   execution may resume.
 * **Phase 4** — background repair: every remaining stripe damaged by the
-  node loss is rebuilt.  The machine is *available* during this phase;
-  its time is reported separately and never counted as downtime.
+  node loss is rebuilt — the lost node's remaining data pages and its
+  parity pages; every other stripe's parity stayed live through the
+  rollback.  A transient fault has nothing to repair.  The machine is
+  *available* during this phase; its time is reported separately and
+  never counted as downtime.
 
 The functional side is exact — recovery operates on real line values
 and is verified bit-for-bit against golden checkpoint snapshots — while
@@ -26,8 +30,11 @@ parameters (reads are batched page-at-a-time across all surviving
 processors, so per-access resource walks would misrepresent the
 pipelining; see the cost helpers at the bottom).  The host code works
 at the same granularity: stripes are rebuilt a page at a time
-(:meth:`~repro.core.parity.ParityEngine.stripe_xor`) and logs are
-decoded a block at a time (docs/PERFORMANCE.md, "Recovery host path").
+(:meth:`~repro.core.parity.ParityEngine.stripe_xor`), and a log's
+metadata words are scanned in one pass while entry lines are read only
+for the commit records and the undo window
+(:class:`~repro.core.log.RegionScan`; docs/PERFORMANCE.md, "Recovery
+host path").
 
 Observability: a traced recovery emits the ``recovery`` category
 events documented in docs/OBSERVABILITY.md — ``recovery.begin`` at
@@ -44,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-from repro.core.log import LogEntry
+from repro.core.log import RegionScan
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.system import Machine
@@ -256,20 +263,20 @@ class RecoveryManager:
 
     # -- committed-epoch determination (two-phase commit evidence) ------------
 
-    def decode_logs(self) -> Dict[int, List[LogEntry]]:
-        """Every node's log region decoded from memory, keyed by node.
+    def decode_logs(self) -> Dict[int, RegionScan]:
+        """Every node's log region scanned from memory, keyed by node.
 
         Recovery calls this once, right after Phase 2, and hands the
         map to every later reader: no recovery write touches a log
-        region, so the decode stays valid through the rollback.
+        region, so the scan stays valid through the rollback.
         """
         machine = self.machine
         return {node.node_id: machine.revive.logs[node.node_id]
-                .decode_region(node.memory.read_line)
+                .scan_region(node.memory.read_line)
                 for node in machine.nodes}
 
     def determine_committed_epoch(
-            self, decoded: Optional[Dict[int, List[LogEntry]]] = None
+            self, decoded: Optional[Dict[int, RegionScan]] = None
     ) -> int:
         """Last checkpoint committed on *every* node, from memory alone.
 
@@ -282,9 +289,8 @@ class RecoveryManager:
         """
         if decoded is None:
             decoded = self.decode_logs()
-        return min((max((r.value for r in entries if r.is_commit),
-                        default=0)
-                    for entries in decoded.values()), default=0)
+        return min((max((r.value for r in scan.commits()), default=0)
+                    for scan in decoded.values()), default=0)
 
     # -- Phase 2 --------------------------------------------------------------
 
@@ -309,7 +315,7 @@ class RecoveryManager:
         machine.geom_cache.invalidate()
 
     def _log_rebuild_cost(self, lost_node: int,
-                          lost_log: List[LogEntry]) -> Tuple[int, int]:
+                          lost_log: RegionScan) -> Tuple[int, int]:
         """Phase 2 duration and timed line count for the rebuilt log.
 
         Time is charged for a two-pass rebuild — first the metadata
@@ -317,7 +323,7 @@ class RecoveryManager:
         are live, then only the live entry lines — so Phase 2 grows
         with the *log contents*, as the paper states, not with the
         region's reserved size.  ``lost_log`` is the rebuilt region's
-        decode.
+        scan; its length is the number of valid markers.
         """
         meta_lines = self.machine.revive.logs[lost_node].n_blocks
         timed_lines = meta_lines + len(lost_log)
@@ -330,7 +336,7 @@ class RecoveryManager:
 
     def _rollback(self, target_epoch: int, committed: int,
                   lost_node: Optional[int],
-                  decoded: Dict[int, List[LogEntry]]
+                  decoded: Dict[int, RegionScan]
                   ) -> Tuple[int, int, Set[Tuple[int, int]]]:
         """Apply log entries newest-first; rebuild lost pages on demand.
 
@@ -420,48 +426,52 @@ class RecoveryManager:
                            ) -> Tuple[int, int]:
         """Repair every stripe the recovery left damaged.
 
-        Functionally: (a) rebuild the lost node's remaining pages from
-        parity, skipping ``already`` (the pages Phase 3 rebuilt on
-        demand), and (b) recompute every parity page whose stripe was
-        touched by rollback writes (rollback bypasses the normal
-        parity-update path, as the paper's Phase 4 does).  The returned
-        duration models the machine at ``rebuild_dedication`` of its
-        capacity; the system is available throughout.
+        Only the lost node's pages are stale: (a) its remaining data
+        and reserved pages are rebuilt from parity, skipping
+        ``already`` (the pages Phase 3 rebuilt on demand), and (b) its
+        parity pages are recomputed from their data pages.  The rollback kept every
+        other stripe's parity live through
+        :meth:`~repro.core.parity.ParityEngine.apply_update`, so a
+        transient fault repairs nothing.  The returned duration models
+        the machine at ``rebuild_dedication`` of its capacity; the
+        system is available throughout.
         """
+        if lost_node is None:
+            return 0, 0
         machine = self.machine
         space = machine.addr_space
-        parity = machine.revive.parity
+        geometry = machine.revive.parity.geometry
         pages_rebuilt = 0
 
-        if lost_node is not None:
-            # Remaining data pages of the lost node (mapped ones not
-            # already rebuilt on demand during the rollback).
-            for node_id, ppage in space.mapped_physical_pages():
-                if node_id != lost_node or (node_id, ppage) in already:
-                    continue
-                self._rebuild_page(node_id, ppage)
-                pages_rebuilt += 1
-            # The system page (context lines) lives outside the mapped set.
-            system_page = machine.system_page(lost_node)
-            if (lost_node, system_page) not in already:
-                self._rebuild_page(lost_node, system_page)
+        # Remaining data pages of the lost node (mapped ones not already
+        # rebuilt on demand during the rollback), then its reserved
+        # pages outside the log region Phase 2 rebuilt: the system page
+        # (context lines) and the I/O buffer region.
+        mapped = space.mapped_physical_pages()
+        data_pages = [page for node_id, page in mapped
+                      if node_id == lost_node]
+        data_pages.append(machine.system_page(lost_node))
+        data_pages.extend(machine.io_region_pages(lost_node))
+        for ppage in data_pages:
+            if (lost_node, ppage) not in already:
+                self._rebuild_page(lost_node, ppage)
                 pages_rebuilt += 1
 
-        # Recompute parity for every touched stripe (cheap functionally;
-        # covered by the same background duration estimate).
-        touched = set(space.mapped_physical_pages())
+        # The lost node's parity pages of every touched stripe, in page
+        # order; untouched stripes are all-zero and need no parity.
+        touched = set(mapped)
         for node in machine.nodes:
             for ppage in machine.reserved_pages_of(node.node_id):
                 touched.add((node.node_id, ppage))
-        parity_pages = set()
-        for node_id, ppage in touched:
-            parity_pages.add(parity.geometry.parity_location(node_id, ppage))
-        for parity_node, parity_page in sorted(parity_pages):
-            self._rebuild_page(parity_node, parity_page)
-            if lost_node is not None and parity_node == lost_node:
-                pages_rebuilt += 1
+        parity_pages = sorted({page for parity_node, page in
+                               (geometry.parity_location(node_id, ppage)
+                                for node_id, ppage in touched)
+                               if parity_node == lost_node})
+        for ppage in parity_pages:
+            self._rebuild_page(lost_node, ppage)
+        pages_rebuilt += len(parity_pages)
 
-        workers = self.config.n_nodes - (1 if lost_node is not None else 0)
+        workers = self.config.n_nodes - 1
         effective = max(1e-9, workers * self.revive_config.rebuild_dedication)
         phase4_ns = int(pages_rebuilt * self._page_rebuild_cost_ns()
                         / effective)

@@ -56,6 +56,24 @@ def test_shared_decoded_image_stays_read_only():
     assert ctx["decoded"] == {None: pickle.loads(image)}
 
 
+def test_deferred_directory_rows_read_from_shared_image():
+    """Directory rows are built from the shared image on first use:
+    a machine that reads them after another has run and mutated its
+    own directories still sees the image's rows, and neither writes
+    back into the image."""
+    ctx = forked_context(RUN_KWARGS, 2)
+    scenario = {"hybrid_fraction": None, "lost_node": None,
+                "detect_fraction": 0.5}
+    runner, reader = (_scenario_machine(ctx, scenario) for _ in range(2))
+    runner.run(until=runner.simulator.now + 20_000)
+    state = _decoded_image(ctx, None)
+    for node, node_state in zip(reader.nodes, state["nodes"]):
+        assert node.directory.snapshot() == node_state["directory"]
+    assert [node.directory.snapshot() for node in runner.nodes] != \
+        [node_state["directory"] for node_state in state["nodes"]]
+    assert ctx["decoded"] == {None: pickle.loads(ctx["images"][None])}
+
+
 def test_forked_recovery_is_bit_exact_on_the_benchmark_grid():
     """fft cp_parity on a tiny 4-node machine warmed to six commits,
     lost node and transient fault: every scenario restored from the one

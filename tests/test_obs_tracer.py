@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.core.faults import NodeLossFault
+from repro.core.faults import NodeLossFault, TransientSystemFault
 from repro.core.recovery import RecoveryManager
 from repro.obs import (CATEGORIES, SCHEMA_VERSION, JsonlFileSink,
                        RingBufferSink, Tracer, category_counts,
@@ -226,6 +226,31 @@ class TestRecoveryBreakdownFromTrace:
         assert {"sim.run_begin", "coh.transition", "log.append",
                 "ckpt.commit", "recovery.begin", "recovery.end",
                 "recovery.phase_begin", "recovery.phase_end"} <= names
+
+    @pytest.mark.parametrize("fault", [NodeLossFault(1),
+                                       TransientSystemFault()])
+    def test_no_clear_is_stamped_before_its_predecessor(self, tmp_path,
+                                                        fault):
+        """A fault wipes directories at the paused machine's time, so
+        every ``coh.clear`` (fault and Phase 1 alike) is in time order
+        with the event before it."""
+        path = str(tmp_path / "trace.jsonl")
+        tracer = Tracer(sink=JsonlFileSink(path))
+        machine = build_tiny_machine()
+        machine.install_tracer(tracer)
+        machine.attach_workload(ToyWorkload(rounds=4))
+        machine.run(until=20_000)
+        fault.apply(machine)
+        RecoveryManager(machine).recover(detect_time=20_000,
+                                         lost_node=fault.lost_node)
+        tracer.close()
+        events = read_trace(path)
+        clears = [i for i, e in enumerate(events)
+                  if e["name"] == "coh.clear"]
+        assert len(clears) == len(machine.nodes) + (
+            1 if fault.lost_node is not None else len(machine.nodes))
+        for i in clears:
+            assert events[i]["ts"] >= events[i - 1]["ts"] > 0
 
     def test_incomplete_trace_raises(self):
         with pytest.raises(ValueError):

@@ -137,6 +137,18 @@ def reference_decode(log, read_line):
     return out
 
 
+def reference_window(log, read_line, target, upto):
+    """The undo window and commit records filtered out of the
+    slot-by-slot reference: window newest first, commits in ring
+    order."""
+    records = reference_decode(log, read_line)
+    keep = {e % 128 for e in range(target, upto + 1)}
+    window = [e for e in records if e.is_data and e.epoch in keep]
+    rebase = unwrap_sequence([e.seq for e in window])
+    window.sort(key=lambda e: rebase[e.seq], reverse=True)
+    return window, [e for e in records if e.is_commit]
+
+
 class CountingStore(Store):
     def __init__(self):
         super().__init__()
@@ -159,13 +171,20 @@ LOG_OPS = st.lists(
     max_size=120)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 5), LOG_OPS)
-def test_block_decode_equals_slot_reference(n_blocks, ops):
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), LOG_OPS, st.integers(0, 4), st.integers(0, 8))
+def test_block_decode_equals_slot_reference(n_blocks, ops, before_wrap,
+                                            back):
     """Wrapped rings, reclaimed epochs, torn appends (entry line
     written, marker not), commit records, and never-written (all-zero)
-    blocks all decode identically, in ring order."""
+    blocks all decode identically, in ring order.  So do the undo
+    window and the commit records read off one metadata scan, also
+    across the 16-bit sequence wrap; the window reads an entry line
+    only for each record it returns."""
     log, store = fresh_log(n_blocks=n_blocks), CountingStore()
+    if before_wrap:
+        # Start ``before_wrap`` appends short of the sequence wrap.
+        log.head = log.tail = log.epoch_start[0] = (1 << 16) - before_wrap
 
     def land(writes):
         for mem_line, content in writes:
@@ -202,6 +221,16 @@ def test_block_decode_equals_slot_reference(n_blocks, ops):
     # One metadata read per block plus one entry read per valid record.
     assert len(store.reads) == log.n_blocks + len(expected)
 
+    target = max(0, log.current_epoch - back)
+    window, commits = reference_window(log, store.read, target,
+                                       log.current_epoch)
+    store.reads.clear()
+    assert log.entries_to_undo(target, log.current_epoch,
+                               store.read) == window
+    assert len(store.reads) == log.n_blocks + len(window)
+    assert log.find_commit_records(store.read) == commits
+    assert len(log.scan_region(store.read)) == len(expected)
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4),
@@ -217,3 +246,4 @@ def test_block_decode_equals_slot_reference_on_arbitrary_bytes(n_blocks,
         store.lines[line_addr] = value
     assert log.decode_region(store.read) == \
         reference_decode(log, store.read)
+

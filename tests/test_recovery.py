@@ -12,6 +12,7 @@ from conftest import ToyWorkload, build_tiny_machine
 
 from repro.core.faults import NodeLossFault, TransientSystemFault
 from repro.core.log import MemoryLog
+from repro.core.parity import ParityEngine
 from repro.core.recovery import RecoveryManager
 
 
@@ -107,13 +108,13 @@ class TestNodeLossRecovery:
         machine = build_tiny_machine()
         detect = run_until_after_second_commit(machine)
         decodes = []
-        original = MemoryLog.decode_region
+        original = MemoryLog.scan_region
 
         def counting(log, read_line):
             decodes.append(log.node)
             return original(log, read_line)
 
-        monkeypatch.setattr(MemoryLog, "decode_region", counting)
+        monkeypatch.setattr(MemoryLog, "scan_region", counting)
         NodeLossFault(2).apply(machine)
         result = RecoveryManager(machine).recover(detect_time=detect,
                                                   lost_node=2)
@@ -150,6 +151,55 @@ class TestNodeLossRecovery:
                                                   lost_node=3)
         assert result.resume_time == (detect + result.phase1_ns
                                       + result.phase2_ns + result.phase3_ns)
+
+
+class TestPhase4RepairsOnlyStalePages:
+    """The rollback keeps every stripe's parity live except where the
+    parity page sits on the lost node, so Phase 4 rebuilds only that
+    node's pages and a transient fault rebuilds nothing."""
+
+    def recover_counting_stripes(self, monkeypatch, machine, lost):
+        detect = run_until_after_second_commit(machine)
+        stripes = []
+        original = ParityEngine.stripe_xor
+
+        def counting(engine, node, ppage, lines=None):
+            stripes.append((node, ppage))
+            return original(engine, node, ppage, lines)
+
+        monkeypatch.setattr(ParityEngine, "stripe_xor", counting)
+        if lost is None:
+            TransientSystemFault().apply(machine)
+        else:
+            NodeLossFault(lost).apply(machine)
+        result = RecoveryManager(machine).recover(detect_time=detect,
+                                                  lost_node=lost,
+                                                  target_epoch=1)
+        rebuilt = list(stripes)
+        assert machine.verify_against_snapshot(1) == []
+        assert machine.revive.parity.check_all_parity() == []
+        return result, rebuilt
+
+    def test_transient_recovery_xors_no_stripe(self, monkeypatch):
+        result, rebuilt = self.recover_counting_stripes(
+            monkeypatch, build_tiny_machine(), None)
+        assert rebuilt == []
+        assert result.entries_undone > 0
+        assert result.pages_rebuilt_background == 0
+        assert result.phase4_background_ns == 0
+
+    @pytest.mark.parametrize("mirrored", [0.0, 0.5])
+    def test_node_loss_rebuilds_only_lost_node_pages(self, monkeypatch,
+                                                     mirrored):
+        machine = build_tiny_machine(mirrored_fraction=mirrored,
+                                     log_bytes_per_node=96 * 1024)
+        result, rebuilt = self.recover_counting_stripes(monkeypatch,
+                                                        machine, 2)
+        assert {node for node, _page in rebuilt} == {2}
+        assert len(set(rebuilt)) == len(rebuilt)
+        assert len(rebuilt) == (len(machine.log_region_pages(2))
+                                + result.pages_rebuilt_during_rollback
+                                + result.pages_rebuilt_background)
 
 
 class TestRecoveryValidation:
