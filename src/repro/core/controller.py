@@ -33,8 +33,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Tuple
 
-from repro.core.log import ENTRIES_PER_BLOCK, MemoryLog
+from repro.core.log import ENTRIES_PER_BLOCK, ENTRY_BYTES, MemoryLog
 from repro.core.parity import ParityEngine
+from repro.sim.stats import Counter
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.system import Machine
@@ -43,6 +44,10 @@ if TYPE_CHECKING:  # pragma: no cover
 EVENT_WB_LOGGED = "wb_logged"        # Figure 4
 EVENT_RDX_UNLOGGED = "rdx_unlogged"  # Figure 5(a)
 EVENT_WB_UNLOGGED = "wb_unlogged"    # Figure 5(b)
+
+#: The four counters of each event class, in creation order.
+_EVENT_FIELDS = ("events", "extra_accesses", "extra_lines",
+                 "extra_messages")
 
 
 class ReViveController:
@@ -57,16 +62,28 @@ class ReViveController:
         self.logs = logs
         # Entries accumulated since the last metadata-buffer flush.
         self._meta_pending: Dict[int, int] = {n: 0 for n in logs}
+        # Live bytes over ``logs``, kept current wherever a log's head
+        # or tail moves (append, reclaim, rollback, restore).
+        self._log_bytes = self._sum_log_bytes()
+        # Each event class's four counters, bound on its first event so
+        # a class that never fires registers none.
+        self._event_counters: Dict[str, Tuple[Counter, ...]] = {}
+        self._memory_traffic = self.stats.memory_traffic.bytes_by_category
 
     # -- event accounting ----------------------------------------------------
 
     def _count_event(self, event: str, accesses: int, lines: int,
                      messages: int) -> None:
-        base = f"revive.{event}"
-        self.stats.counter(f"{base}.events").add()
-        self.stats.counter(f"{base}.extra_accesses").add(accesses)
-        self.stats.counter(f"{base}.extra_lines").add(lines)
-        self.stats.counter(f"{base}.extra_messages").add(messages)
+        counters = self._event_counters.get(event)
+        if counters is None:
+            counters = self._event_counters[event] = tuple(
+                self.stats.counter(f"revive.{event}.{field}")
+                for field in _EVENT_FIELDS)
+        events, extra_accesses, extra_lines, extra_messages = counters
+        events.value += 1
+        extra_accesses.value += accesses
+        extra_lines.value += lines
+        extra_messages.value += messages
 
     # -- protocol hooks -------------------------------------------------------
 
@@ -104,7 +121,7 @@ class ReViveController:
         log = self.logs[home_id]
         old_value = home.memory.read_line(line_addr)
 
-        mirrored = self.parity.is_mirrored_line(line_addr)
+        mirrored = self.parity.geom.entry(line_addr)[3]
         if log.is_logged(line_addr):
             # Figure 4: data parity maintenance only.
             t = at
@@ -112,12 +129,12 @@ class ReViveController:
             if not mirrored:
                 # Read the old data content to form U = D xor D'.
                 t = home.mem_timing.access(t)
-                self.stats.memory_traffic.add("PAR", self.config.line_size)
+                self._memory_traffic["PAR"] += self.config.line_size
                 extra_accesses += 1
                 if span is not None:
                     span.seg("mem_read", t)
             write_done = home.mem_timing.access(t)
-            self.stats.memory_traffic.add(category, self.config.line_size)
+            self._memory_traffic[category] += self.config.line_size
             home.memory.write_line(line_addr, new_value)
             self.parity.apply_update(line_addr, old_value, new_value)
             parity_ack = self.parity.time_update(line_addr, write_done)
@@ -131,13 +148,13 @@ class ReViveController:
         # Figure 5(b): log first, then data; the ack is delayed until
         # the log entry and its parity are safely stored.
         read_done = home.mem_timing.access(at)
-        self.stats.memory_traffic.add("PAR", self.config.line_size)
+        self._memory_traffic["PAR"] += self.config.line_size
         if span is not None:
             span.seg("mem_read", read_done)
         log_done = self._append_log_entry(home_id, line_addr, old_value,
                                           read_done, span=span)
         write_done = home.mem_timing.access(log_done)
-        self.stats.memory_traffic.add(category, self.config.line_size)
+        self._memory_traffic[category] += self.config.line_size
         home.memory.write_line(line_addr, new_value)
         self.parity.apply_update(line_addr, old_value, new_value)
         parity_start = write_done
@@ -145,7 +162,7 @@ class ReViveController:
             # The controller has no data cache (Section 3.2.2), so the
             # old data content is re-read to form the parity update.
             parity_start = home.mem_timing.access(write_done, row_hit=True)
-            self.stats.memory_traffic.add("PAR", self.config.line_size)
+            self._memory_traffic["PAR"] += self.config.line_size
         data_parity_ack = self.parity.time_update(line_addr, parity_start)
         # Copy-to-log: 2 accesses / 1 line; log parity: 3 / 1 / 2;
         # data parity: 3 / 1 / 2 (Table 1; mirroring drops the reads).
@@ -168,7 +185,6 @@ class ReViveController:
         record travels the same log + parity path as data entries.
         Returns the completion time.
         """
-        log = self.logs[node_id]
         return self._append_log_entry(node_id, line_addr=0, old_value=0,
                                       at=at, is_commit=True)
 
@@ -182,6 +198,13 @@ class ReViveController:
         for log in self.logs.values():
             log.gang_clear_logged()
             log.reclaim(log.current_epoch - (keep - 1), at=at)
+        self._log_bytes = self._sum_log_bytes()
+
+    def reset_logs_to_epoch(self, target_epoch: int) -> None:
+        """After rollback, resume every node's log at ``target_epoch``."""
+        for log in self.logs.values():
+            log.reset_to_epoch(target_epoch)
+        self._log_bytes = self._sum_log_bytes()
 
     def max_log_bytes(self) -> int:
         """Largest per-run log footprint seen on any sample."""
@@ -189,6 +212,9 @@ class ReViveController:
 
     def total_log_bytes(self) -> int:
         """Current live log bytes summed over all nodes."""
+        return self._log_bytes
+
+    def _sum_log_bytes(self) -> int:
         return sum(log.bytes_used for log in self.logs.values())
 
     # -- internals ------------------------------------------------------------
@@ -216,7 +242,8 @@ class ReViveController:
         returned time.
         """
         home = self.machine.nodes[home_id]
-        if log is None:
+        own_log = log is None
+        if own_log:
             log = self.logs[home_id]
         writes = log.make_writes(line_addr, old_value,
                                  home.memory.read_line, is_commit=is_commit)
@@ -225,7 +252,7 @@ class ReViveController:
         # Old content of the entry line (stale data from a reclaimed
         # wrap) is needed to form the log-parity update.
         t = home.mem_timing.access(at, row_hit=True)
-        self.stats.memory_traffic.add("PAR", self.config.line_size)
+        self._memory_traffic["PAR"] += self.config.line_size
 
         # Functional writes, in marker-last order, with exact parity.
         for mem_line, new_content in writes:
@@ -235,7 +262,7 @@ class ReViveController:
 
         # Timed path: entry-line write + its parity round trip.
         t = home.mem_timing.access(t, row_hit=True)
-        self.stats.memory_traffic.add("LOG", self.config.line_size)
+        self._memory_traffic["LOG"] += self.config.line_size
         if span is not None:
             span.seg("log", t)
         ack = self.parity.time_update(entry_line, t, sequential=True)
@@ -243,9 +270,11 @@ class ReViveController:
             span.seg("parity", ack)
 
         log.commit_append(line_addr, is_commit=is_commit, at=t)
+        if own_log:
+            self._log_bytes += ENTRY_BYTES
         ack = max(ack, self._maybe_flush_metadata(home_id, t, log,
                                                   span=span))
-        self.stats.sample_log_size(at, self.total_log_bytes())
+        self.stats.sample_log_size(at, self._log_bytes)
         self._check_log_pressure(log)
         return ack
 
@@ -268,6 +297,7 @@ class ReViveController:
         for n, log_state in state["logs"].items():
             self.logs[n].restore(log_state)
         self._meta_pending.update(state["meta_pending"])
+        self._log_bytes = self._sum_log_bytes()
 
     def _check_log_pressure(self, log: MemoryLog) -> None:
         """Request an early checkpoint when a log nears capacity."""
@@ -286,9 +316,9 @@ class ReViveController:
         self._meta_pending[home_id] = 0
         home = self.machine.nodes[home_id]
         # Flush the metadata line of the block just completed.
-        _entry, meta_line, _within = log._slot_lines(max(log.head - 1, 0))
+        meta_line = log.meta_line_of(max(log.head - 1, 0))
         done = home.mem_timing.access(at, row_hit=True)
-        self.stats.memory_traffic.add("LOG", self.config.line_size)
+        self._memory_traffic["LOG"] += self.config.line_size
         self.stats.counter("revive.metaflush.events").add()
         meta_ack = self.parity.time_update(meta_line, done, sequential=True)
         if span is not None:

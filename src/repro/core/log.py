@@ -153,6 +153,10 @@ class MemoryLog:
         entry_line = self.region_lines[base + 1 + within]
         return entry_line, meta_line, within
 
+    def meta_line_of(self, slot: int) -> int:
+        """Address of the metadata line holding ``slot``'s marker word."""
+        return self._slot_lines(slot)[1]
+
     # -- L bits --------------------------------------------------------------
 
     def is_logged(self, line_addr: int) -> bool:

@@ -39,6 +39,12 @@ class ParityEngine:
         # parity line, parity home and mirroring are all memoized in
         # the machine-owned cache (docs/PERFORMANCE.md).
         self.geom = machine.geom_cache
+        # Hot-path bindings for time_update: every node's DRAM bus
+        # calendar, the memory-traffic byte counts, the line message
+        # size.  All are mutated in place, never replaced.
+        self._dram = [node.mem_timing.banks for node in machine.nodes]
+        self._memory_traffic = self.stats.memory_traffic.bytes_by_category
+        self._line_message_bytes = self.config.line_message_bytes()
 
     # -- address helpers ---------------------------------------------------
 
@@ -50,10 +56,6 @@ class ParityEngine:
                 f"line {line_addr:#x} is itself parity; it has no "
                 f"covering parity line")
         return parity_line
-
-    def is_mirrored_line(self, line_addr: int) -> bool:
-        """Does this line's stripe use mirroring (no read-modify-write)?"""
-        return self.geom.entry(line_addr)[3]
 
     def peer_lines_of(self, line_addr: int) -> List[int]:
         """The other stripe members (data + parity) of any line."""
@@ -70,18 +72,25 @@ class ParityEngine:
         the directory controller can write-combine metadata-line parity
         while keeping contents exact.
         """
-        _home, parity_line, parity_home, mirrored = self.geom.entry(line_addr)
-        if parity_line is None:
+        entry = self.geom.entry(line_addr)
+        if entry[1] is None:
             raise ValueError(
                 f"line {line_addr:#x} is itself parity; it has no "
                 f"covering parity line")
-        parity_node = self.machine.nodes[parity_home]
+        self.fold_update(entry, old_value, new_value)
+
+    def fold_update(self, entry: Tuple[int, Optional[int], Optional[int],
+                                       bool],
+                    old_value: int, new_value: int) -> None:
+        """:meth:`apply_update` for a data line whose
+        :meth:`GeometryCache.entry` the caller already holds."""
+        _home, parity_line, parity_home, mirrored = entry
+        memory = self.machine.nodes[parity_home].memory
         if mirrored:
-            parity_node.memory.write_line(parity_line, new_value)
+            memory.write_line(parity_line, new_value)
         else:
-            old_parity = parity_node.memory.read_line(parity_line)
-            parity_node.memory.write_line(
-                parity_line, old_parity ^ old_value ^ new_value)
+            memory.write_line(parity_line, memory.read_line(parity_line)
+                              ^ old_value ^ new_value)
 
     def time_update(self, line_addr: int, at: int,
                     sequential: bool = False) -> int:
@@ -93,35 +102,30 @@ class ParityEngine:
         ``sequential`` marks log-region updates, whose parity is
         accessed in order and hits open DRAM rows.
         """
-        network = self.machine.network
         home_id, parity_line, parity_home, mirrored = \
             self.geom.entry(line_addr)
         if parity_line is None:
             raise ValueError(
                 f"line {line_addr:#x} is itself parity; it has no "
                 f"covering parity line")
-        parity_node = self.machine.nodes[parity_home]
-
-        arrive = network.send_line(home_id, parity_home, at, "PAR")
+        send = self.machine.network.send
+        config = self.config
+        arrive = send(home_id, parity_home, self._line_message_bytes, at,
+                      "PAR")
+        # The parity home's DRAM bus, booked directly: the read (skipped
+        # under mirroring) and then the write, as MemoryTimingModel.access
+        # would book them.
+        bus = self._dram[parity_home]
+        done = bus.acquire(arrive) + (config.mem_row_hit_ns if sequential
+                                      else config.mem_row_miss_ns)
         if mirrored:
-            done = parity_node.mem_timing.access(arrive, row_hit=sequential)
-            self.stats.memory_traffic.add("PAR", self.config.line_size)
+            self._memory_traffic["PAR"] += config.line_size
         else:
-            read_done = parity_node.mem_timing.access(arrive,
-                                                      row_hit=sequential)
-            self.stats.memory_traffic.add("PAR", self.config.line_size)
-            done = parity_node.mem_timing.access(read_done, row_hit=True)
-            self.stats.memory_traffic.add("PAR", self.config.line_size)
-        ack = network.send_control(parity_home, home_id, done, "PAR")
+            done = bus.acquire(done) + config.mem_row_hit_ns
+            self._memory_traffic["PAR"] += 2 * config.line_size
+        ack = send(parity_home, home_id, config.header_bytes, done, "PAR")
         self.updates += 1
         return ack
-
-    def update_for_write(self, line_addr: int, old_value: int,
-                         new_value: int, at: int,
-                         sequential: bool = False) -> int:
-        """Functional + timed parity update for one memory write."""
-        self.apply_update(line_addr, old_value, new_value)
-        return self.time_update(line_addr, at, sequential=sequential)
 
     # -- snapshot / restore (docs/SNAPSHOTS.md) -------------------------------
 

@@ -179,8 +179,7 @@ class RecoveryManager:
             lost_node, rebuilt_pages)
 
         # Logs and epochs resume from the recovery target.
-        for log in machine.revive.logs.values():
-            log.reset_to_epoch(target_epoch)
+        machine.revive.reset_logs_to_epoch(target_epoch)
         machine.truncate_checkpoint_history(target_epoch)
         if machine.io_manager is not None:
             # Unreleased outputs from the undone interval never became
@@ -398,12 +397,12 @@ class RecoveryManager:
         """
         machine = self.machine
         memory = machine.nodes[node_id].memory
-        parity = machine.revive.parity
-        parity_line = parity.parity_line_of(line_addr)
-        parity_home = machine.addr_space.node_of(parity_line)
-        if parity_home != lost_node:
-            parity.apply_update(line_addr, memory.read_line(line_addr),
-                                value)
+        # One geometry lookup per line; log records are data lines, so
+        # the entry always names a covering parity line.
+        entry = machine.geom_cache.entry(line_addr)
+        if entry[2] != lost_node:
+            machine.revive.parity.fold_update(
+                entry, memory.read_line(line_addr), value)
         memory.restore_line(line_addr, value)
 
     def _rebuild_page(self, node: int, ppage: int) -> None:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 import time
 from typing import Dict, List, Sequence
 
@@ -436,6 +437,7 @@ def throughput_report(rounds: int = 3, scale: float = 0.25,
             exhibit["refs_per_sec"] / RECORDED_BASELINE_REFS_PER_SEC)
     report = {
         "schema": REPORT_SCHEMA,
+        **provenance(),
         "exhibit": f"lu @ scale {scale}, bench machine",
         "recorded_baseline_refs_per_sec": RECORDED_BASELINE_REFS_PER_SEC,
         "soft_threshold": SOFT_THRESHOLD,
@@ -538,11 +540,32 @@ def hard_failures(report: Dict) -> List[str]:
     return failures
 
 
+def provenance() -> Dict:
+    """What a report was measured on: the checkout's commit and the
+    host's CPU count.  ``git_sha`` is ``None`` outside a git checkout
+    (or without git)."""
+    try:
+        git = subprocess.run(["git", "rev-parse", "HEAD"],
+                             cwd=os.path.dirname(os.path.abspath(__file__)),
+                             capture_output=True, text=True, timeout=30)
+        sha = git.stdout.strip() if git.returncode == 0 else None
+    except (OSError, subprocess.SubprocessError):
+        sha = None
+    return {"git_sha": sha or None, "cpu_count": os.cpu_count()}
+
+
 def write_report(report: Dict, path: str) -> None:
     """Write the JSON report (stable key order for diffing)."""
     with open(path, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
+
+
+def append_history(report: Dict, path: str) -> None:
+    """Append the report as one JSON line: the perf trajectory that
+    :func:`write_report`'s latest-only file overwrites."""
+    with open(path, "a") as handle:
+        handle.write(json.dumps(report, sort_keys=True) + "\n")
 
 
 def format_report(report: Dict) -> str:

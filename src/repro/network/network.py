@@ -37,24 +37,44 @@ class Network:
             (n, d): Resource(f"link{n}.{d}", 0)
             for n in range(config.n_nodes) for d in DIRECTIONS}
         self.messages_sent = 0
+        # Every (src, dst) pair's source NI, links in route order, and
+        # Table 3 flight time, resolved once.  ``restore`` and ``reset``
+        # refill the same Resource objects in place, so the table never
+        # goes stale.
+        self._paths: Dict[Tuple[int, int],
+                          Tuple[Resource, Tuple[Resource, ...], int]] = {}
+        for src in range(config.n_nodes):
+            for dst in range(config.n_nodes):
+                if src != dst:
+                    route = self.topology.route(src, dst)
+                    self._paths[src, dst] = (
+                        self._ni[src],
+                        tuple(self._links[link] for link in route),
+                        config.net_base_ns
+                        + config.net_per_hop_ns * len(route))
+        # Message size -> (NI occupancy, link occupancy).
+        self._occupancy: Dict[int, Tuple[int, int]] = {}
+        self._traffic = stats.network_traffic.bytes_by_category
 
     def send(self, src: int, dst: int, nbytes: int, at: int,
              category: str) -> int:
         """Send a message; returns its arrival time at ``dst``."""
         if src == dst:
             return at
-        self.stats.network_traffic.add(category, nbytes)
+        self._traffic[category] += nbytes
         self.messages_sent += 1
-        ni_occupancy = max(1, round(nbytes / self.config.ni_bytes_per_ns))
-        start = self._ni[src].acquire(at, ni_occupancy)
-        launch = start + ni_occupancy
-        link_occupancy = max(1, round(nbytes / self.config.link_bytes_per_ns))
-        route = self.topology.route(src, dst)
+        occupancy = self._occupancy.get(nbytes)
+        if occupancy is None:
+            occupancy = self._occupancy[nbytes] = (
+                max(1, round(nbytes / self.config.ni_bytes_per_ns)),
+                max(1, round(nbytes / self.config.link_bytes_per_ns)))
+        ni_occupancy, link_occupancy = occupancy
+        ni, links, flight = self._paths[src, dst]
+        launch = ni.acquire(at, ni_occupancy) + ni_occupancy
         entry = launch
-        for link in route:
-            entry = self._links[link].acquire(entry, link_occupancy)
-        return (launch + self.config.net_base_ns
-                + self.config.net_per_hop_ns * len(route))
+        for link in links:
+            entry = link.acquire(entry, link_occupancy)
+        return launch + flight
 
     def uncontended_latency(self, src: int, dst: int, nbytes: int) -> int:
         """Table 3 flight time of one message on an idle network.

@@ -88,6 +88,15 @@ class Resource:
         if index <= self._full_until:
             index = self._full_until + 1
             extend_hint = True
+        else:
+            # One-bucket fast path: the whole service fits in the
+            # request's own bucket.  Books exactly what the loop below
+            # would, and (without the hint) never moves _full_until.
+            used = buckets.get(index, 0)
+            if used + service <= capacity:
+                buckets[index] = used + service
+                begin = index * BUCKET_NS + used // self.ports
+                return begin if begin > at else at
         start = None
         remaining = service
         while remaining > 0:

@@ -17,7 +17,7 @@ agree by construction.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
@@ -97,6 +97,9 @@ class StatsRegistry(MetricsRegistry):
         self.network_traffic = TrafficBreakdown("network")
         self.memory_traffic = TrafficBreakdown("memory")
         self.log_size_samples: List[Tuple[int, int]] = []  # (time, bytes)
+        # Bound on the first sample, so the gauge keeps its place in the
+        # registry's creation order.
+        self._log_bytes_gauge: Optional[Gauge] = None
 
     @property
     def max_log_bytes(self) -> int:
@@ -106,7 +109,10 @@ class StatsRegistry(MetricsRegistry):
     def sample_log_size(self, time: int, nbytes: int) -> None:
         """Record a (time, total log bytes) sample."""
         self.log_size_samples.append((time, nbytes))
-        self.gauge("log.bytes").set(nbytes)
+        gauge = self._log_bytes_gauge
+        if gauge is None:
+            gauge = self._log_bytes_gauge = self.gauge("log.bytes")
+        gauge.set(nbytes)
 
     def state(self) -> Dict:
         """Registry metrics plus the paper-specific aggregates."""

@@ -2,7 +2,10 @@
 
 import pytest
 
-from conftest import build_tiny_machine
+from conftest import ToyWorkload, build_tiny_machine, run_toy
+
+from repro.core.faults import NodeLossFault
+from repro.core.recovery import RecoveryManager
 
 
 @pytest.fixture
@@ -132,3 +135,53 @@ class TestMetadataFlush:
             line = mapped_line(machine, offset=i * 64)
             machine.revive.on_store_intent(1, line, at=i * 1000)
         assert machine.stats.value("revive.metaflush.events") == 1
+
+
+class TestLazyEventCounters:
+    """Event counters exist only once their class has fired: the
+    registry (and with it the run fingerprint) names no idle class."""
+
+    def test_silent_class_registers_no_counters(self):
+        # Without checkpoints every write-back finds its line logged.
+        machine = run_toy(build_tiny_machine(checkpoint_interval_ns=None))
+        names = [c.name for c in machine.stats.counters()]
+        assert machine.stats.value("revive.wb_logged.events") > 0
+        assert not [n for n in names if n.startswith("revive.wb_unlogged.")]
+        start = names.index("revive.wb_logged.events")
+        assert names[start:start + 4] == [
+            "revive.wb_logged.events", "revive.wb_logged.extra_accesses",
+            "revive.wb_logged.extra_lines", "revive.wb_logged.extra_messages"]
+
+    def test_baseline_registers_no_revive_counters(self):
+        machine = run_toy(build_tiny_machine(revive=False))
+        assert not [c.name for c in machine.stats.counters()
+                    if c.name.startswith("revive.")]
+
+
+class TestRunningLogBytes:
+    """``total_log_bytes`` is a running total; it must equal the sum
+    over the logs after appends, reclaims, rollback and restore."""
+
+    @staticmethod
+    def _summed(machine):
+        return sum(log.bytes_used for log in machine.revive.logs.values())
+
+    def test_running_total_tracks_every_pointer_move(self):
+        machine = build_tiny_machine()
+        machine.attach_workload(ToyWorkload(rounds=6))
+        coord = machine.checkpointing
+        machine.run(until=3 * coord.interval_ns)
+        assert coord.checkpoints_committed >= 2
+        assert machine.revive.total_log_bytes() == self._summed(machine) > 0
+        image = machine.revive.snapshot()
+
+        detect = coord.commit_times[-1] + coord.interval_ns // 2
+        machine.run(until=detect)
+        assert machine.revive.total_log_bytes() == self._summed(machine)
+        NodeLossFault(1).apply(machine)
+        RecoveryManager(machine).recover(detect_time=detect, lost_node=1)
+        assert machine.revive.total_log_bytes() == self._summed(machine)
+
+        other = build_tiny_machine()
+        other.revive.restore(image)
+        assert other.revive.total_log_bytes() == self._summed(other) > 0

@@ -110,6 +110,42 @@ class TestEntryCorrectness:
                     space.node_of(line)
 
 
+def _per_line_entry(space, geometry, line_addr):
+    """The per-line derivation the cache used before its page records."""
+    node, ppage = space.node_page_of(line_addr)
+    if geometry.enabled and not geometry.is_parity_page(node, ppage):
+        parity_node, parity_page = geometry.parity_location(node, ppage)
+        parity_line = (space.page_base(parity_node, parity_page)
+                       + line_addr % space.config.page_size)
+        return (node, parity_line, parity_node,
+                geometry.is_mirrored_page(node, ppage))
+    return (node, None, None, False)
+
+
+class TestPageRecords:
+    @pytest.mark.parametrize("overrides", [
+        dict(mirrored_fraction=0.25),            # hybrid: partly mirrored
+        dict(parity_group_size=1),               # mirroring
+        dict(revive=False),                      # no redundancy
+    ])
+    def test_every_line_matches_per_line_derivation(self, overrides):
+        machine = build_tiny_machine(**overrides)
+        space, geometry = machine.addr_space, machine.geometry
+        cache = GeometryCache(space, geometry)
+        cfg = machine.config
+        lines = range(0, cfg.n_nodes * cfg.node_memory_bytes, cfg.line_size)
+        expected = {line: _per_line_entry(space, geometry, line)
+                    for line in lines}
+        if overrides.get("mirrored_fraction"):
+            flags = {e[3] for e in expected.values() if e[1] is not None}
+            assert flags == {True, False}
+        for rounds in (1, 2):           # before and after invalidate()
+            assert all(cache.entry(line) == want
+                       for line, want in expected.items())
+            assert cache.builds == rounds * len(expected)
+            cache.invalidate()
+
+
 class TestSharing:
     def test_parity_engine_uses_machine_cache(self):
         machine = build_tiny_machine()

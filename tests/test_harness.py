@@ -117,3 +117,28 @@ class TestReporting:
         assert percent(0.0632, 1) == "6.3%"
         assert megabytes(2.5 * 1024 * 1024, 1) == "2.5MB"
         assert milliseconds(820e6, 0) == "820ms"
+
+
+class TestReportProvenance:
+    def test_provenance_names_commit_and_cpus(self):
+        import os
+
+        from repro.harness.perf import provenance
+
+        stamp = provenance()
+        assert set(stamp) == {"git_sha", "cpu_count"}
+        assert stamp["cpu_count"] == os.cpu_count()
+        sha = stamp["git_sha"]
+        assert sha is None or (len(sha) == 40
+                               and set(sha) <= set("0123456789abcdef"))
+
+    def test_history_appends_one_line_per_report(self, tmp_path):
+        import json
+
+        from repro.harness.perf import append_history
+
+        path = tmp_path / "history.jsonl"
+        append_history({"git_sha": None, "n": 1}, str(path))
+        append_history({"git_sha": "abc", "n": 2}, str(path))
+        lines = path.read_text().splitlines()
+        assert [json.loads(line)["n"] for line in lines] == [1, 2]

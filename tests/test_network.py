@@ -220,3 +220,47 @@ class TestLinkUtilization:
         net = Network(MachineConfig.tiny(4), StatsRegistry())
         net.send_line(0, 1, at=0, category="PAR")
         assert net.link_utilization(0) == 0.0
+
+
+class TestPathsTable:
+    """The precomputed per-pair paths equal what ``route`` derives."""
+
+    @pytest.mark.parametrize("n_nodes", [16, 8])     # 4x4 and 4x2
+    def test_paths_match_route_and_table3(self, n_nodes):
+        cfg = MachineConfig.tiny(n_nodes)
+        net = Network(cfg, StatsRegistry())
+        pairs = [(s, d) for s in range(n_nodes) for d in range(n_nodes)
+                 if s != d]
+        assert sorted(net._paths) == pairs
+        for src, dst in pairs:
+            ni, links, flight = net._paths[src, dst]
+            assert ni is net._ni[src]
+            assert links == tuple(net._links[link]
+                                  for link in net.topology.route(src, dst))
+            assert flight == cfg.net_latency(src, dst)
+
+    @pytest.mark.parametrize("n_nodes", [16, 8])
+    def test_idle_send_equals_uncontended_latency(self, n_nodes):
+        cfg = MachineConfig.tiny(n_nodes)
+        net = Network(cfg, StatsRegistry())
+        for nbytes in (cfg.header_bytes, cfg.line_message_bytes(), 500):
+            for src in range(n_nodes):
+                for dst in range(n_nodes):
+                    assert (net.send(src, dst, nbytes, 0, "PAR")
+                            == net.uncontended_latency(src, dst, nbytes))
+                    net.reset()
+
+    def test_restore_keeps_paths_live(self):
+        """Restore refills the calendars the table points at, so a
+        restored network books exactly like the one it was taken from."""
+        cfg = MachineConfig.tiny(8)
+        live = Network(cfg, StatsRegistry())
+        for i in range(300):
+            live.send_line(i % 8, (3 * i + 1) % 8, at=7 * i, category="PAR")
+        restored = Network(cfg, StatsRegistry())
+        restored.restore(live.snapshot())
+        for i in range(300):
+            src, dst, at = (5 * i) % 8, (i + 3) % 8, 900 + 3 * i
+            assert (restored.send_line(src, dst, at, "PAR")
+                    == live.send_line(src, dst, at, "PAR"))
+        assert restored.snapshot() == live.snapshot()

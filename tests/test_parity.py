@@ -147,9 +147,14 @@ class TestConvenienceAndCosts:
         line = data_line(machine)
         parity_line = parity.parity_line_of(line)
         parity_node = machine.nodes[machine.addr_space.node_of(parity_line)]
-        ack = parity.update_for_write(line, 0, 0xfeed, at=100)
+        parity.apply_update(line, 0, 0xfeed)
+        ack = parity.time_update(line, at=100)
         assert ack > 100
         assert parity_node.memory.read_line(parity_line) == 0xfeed
+        # Read-modify-write at the parity home: two DRAM accesses.
+        assert parity_node.mem_timing.accesses == 2
+        assert machine.stats.memory_traffic.bytes_by_category["PAR"] == \
+            2 * machine.config.line_size
 
     def test_recovery_line_cost_grows_with_group_size(self):
         from repro.core.recovery import RecoveryManager

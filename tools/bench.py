@@ -10,6 +10,8 @@ Run from the repository root::
 Measures the standard exhibits (``repro.harness.perf``), prints the
 human-readable summary, writes the machine-readable report to
 ``benchmarks/results/BENCH_throughput.json`` (override with ``--out``),
+appends the same report as one line of ``history.jsonl`` beside it (the
+perf trajectory; each report carries its git SHA and CPU count),
 and exits non-zero when any exhibit falls below the hard regression
 floor (``SOFT_THRESHOLD`` of the recorded baseline).  The same harness
 runs under pytest as ``pytest benchmarks -m perf``.
@@ -61,6 +63,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     from repro.harness.perf import (
+        append_history,
         format_report,
         hard_failures,
         throughput_report,
@@ -80,8 +83,10 @@ def main(argv=None) -> int:
                                include_digest=not args.no_digest_bench)
     os.makedirs(os.path.dirname(args.out), exist_ok=True)
     write_report(report, args.out)
+    history = os.path.join(os.path.dirname(args.out), "history.jsonl")
+    append_history(report, history)
     print(format_report(report))
-    print(f"report: {args.out}")
+    print(f"report: {args.out} (appended to {history})")
 
     failures = hard_failures(report)
     if failures:
