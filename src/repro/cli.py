@@ -519,7 +519,7 @@ def cmd_run(args) -> int:
     """``repro run``: one workload on one variant."""
     interval = int(args.interval_us * 1000)
     machine_config, n_procs = _machine_setup(args)
-    overrides = (tiny_revive_overrides(args.nodes)
+    overrides = (tiny_revive_overrides(args.nodes, args.variant)
                  if args.variant != "baseline" else {})
     run_args = dict(scale=args.scale, n_procs=n_procs, interval_ns=interval,
                     machine_config=machine_config, **overrides)
@@ -583,7 +583,7 @@ def cmd_compare(args) -> int:
         result = run_app(args.app, variant, scale=args.scale,
                          interval_ns=interval,
                          machine_config=machine_config, n_procs=n_procs,
-                         **tiny_revive_overrides(args.nodes))
+                         **tiny_revive_overrides(args.nodes, variant))
         rows.append([VARIANT_LABELS[variant],
                      f"{result.execution_time_ns / 1e3:.1f}",
                      f"{100 * result.overhead_vs(base):+.1f}%"])
@@ -696,7 +696,7 @@ def cmd_campaign(args) -> int:
         interval_ns=int(args.interval_us * 1000),
         machine_config=machine_config, cache_dir=_cache_dir(args),
         workers=args.workers, serial=args.serial, cold=args.cold,
-        tracer=tracer, **tiny_revive_overrides(args.nodes))
+        tracer=tracer, **tiny_revive_overrides(args.nodes, args.variant))
     rows = []
     for outcome in campaign.outcomes:
         lost = ("—" if outcome["lost_node"] is None
@@ -1028,7 +1028,7 @@ def cmd_profile(args) -> int:
     interval = int(args.interval_us * 1000)
     machine_config, n_procs = _machine_setup(args)
     profiler = Profiler()
-    overrides = (tiny_revive_overrides(args.nodes)
+    overrides = (tiny_revive_overrides(args.nodes, args.variant)
                  if args.variant != "baseline" else {})
     result = run_app(args.app, args.variant, scale=args.scale,
                      interval_ns=interval, machine_config=machine_config,
@@ -1190,9 +1190,11 @@ def cmd_serve(args) -> int:
     Binds a JSONL TCP server on ``--host:--port`` (``--port 0`` picks
     a free port; the banner line reports the bound address) and serves
     run/latency/sweep/report requests, deduped against the result
-    store at ``--cache-dir``.  Runs until interrupted.
+    store at ``--cache-dir``.  Runs until interrupted (SIGINT or
+    SIGTERM); either way the worker processes are shut down first.
     """
     import asyncio
+    import signal
 
     from repro.serve import (
         DEFAULT_HOST,
@@ -1218,6 +1220,9 @@ def cmd_serve(args) -> int:
         async with server:
             await server.serve_forever()
 
+    # SIGTERM stops the server like Ctrl-C, so the ``finally`` below
+    # still shuts the worker pool down instead of orphaning it.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         asyncio.run(_serve())
     except KeyboardInterrupt:

@@ -15,22 +15,41 @@ emits ``coh.clear`` when recovery wipes the directory.  The protocol
 engine guards each call with ``directory.tracer.enabled`` so untraced
 transitions cost one attribute read.
 
-Restore is deferred: :meth:`Directory.restore` keeps the image's rows
-as *pending* and builds their :class:`DirEntry` objects only when
-something first reads the directory.  A fault that wipes the directory
-right after a restore (every forked campaign scenario) drops the rows
-unbuilt.
+Restore is deferred: :meth:`Directory.restore` keeps the image's
+columns as *pending* and builds their :class:`DirEntry` objects only
+when something first reads the directory.  A fault that wipes the
+directory right after a restore (every forked campaign scenario) drops
+the rows unbuilt.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
 
 from repro.obs.tracer import NULL_TRACER
+from repro.sim.columns import int_column
 
 DIR_UNCACHED, DIR_SHARED, DIR_EXCLUSIVE = 0, 1, 2
 
 _STATE_NAMES = {DIR_UNCACHED: "U", DIR_SHARED: "S", DIR_EXCLUSIVE: "E"}
+
+
+def _sharer_mask(sharers: Iterable[int]) -> int:
+    """A sharer set as a bitmask (bit *n* set for node *n*)."""
+    mask = 0
+    for node in sharers:
+        mask |= 1 << node
+    return mask
+
+
+def _mask_sharers(mask: int) -> Set[int]:
+    """The sharer set of a :func:`_sharer_mask`, built in node order."""
+    sharers = set()
+    while mask:
+        low = mask & -mask
+        sharers.add(low.bit_length() - 1)
+        mask ^= low
+    return sharers
 
 
 class DirEntry:
@@ -70,7 +89,7 @@ class DirEntry:
 class Directory:
     """Lazily-populated map of line address -> :class:`DirEntry`.
 
-    ``_pending`` holds the rows of a restored image that no read has
+    ``_pending`` holds the columns of a restored image that no read has
     needed yet (``None`` otherwise); while it is set ``_entries`` is
     empty, so every lookup misses and the miss branch builds the rows.
     """
@@ -80,7 +99,7 @@ class Directory:
     def __init__(self, node: int) -> None:
         self.node = node
         self._entries: Dict[int, DirEntry] = {}
-        self._pending: Optional[List[list]] = None
+        self._pending: Optional[Dict] = None
         #: Trace sink for ``coh.*`` events (``NULL_TRACER`` when off).
         self.tracer = NULL_TRACER
 
@@ -126,20 +145,36 @@ class Directory:
         tracing is enabled.
         """
         if self.tracer.enabled:
-            pending = len(self._pending) if self._pending is not None else 0
+            pending = (len(self._pending["addrs"])
+                       if self._pending is not None else 0)
             self.tracer.emit(at, "coh", "coh.clear", node=self.node,
                              entries=len(self._entries) + pending)
         self._entries.clear()
         self._pending = None
 
     def snapshot(self) -> Dict:
-        """Plain-data state: entries in insertion order.
+        """Plain-data state: the entries as columns, in insertion order.
 
-        Each entry serialises as ``[addr, state, sorted(sharers), owner,
-        busy_until]``; insertion order is preserved so lazily-created
-        entries reappear in the same order after a restore (dict
-        iteration order is observable through :meth:`entries`).
+        ``addrs``, ``states``, ``owners`` (-1 for none) and
+        ``busy_until`` are typed columns; ``sharers`` is a plain list of
+        sharer bitmasks (bit *n* set for node *n*).  Insertion order is
+        preserved so lazily-created entries reappear in the same order
+        after a restore (dict iteration order is observable through
+        :meth:`entries`).
         """
+        entries = self._all_entries()
+        rows = entries.values()
+        return {"addrs": int_column(entries.keys()),
+                "states": int_column([e.state for e in rows]),
+                "owners": int_column([e.owner for e in rows]),
+                "busy_until": int_column([e.busy_until for e in rows]),
+                "sharers": [_sharer_mask(e.sharers) for e in rows]}
+
+    def digest_state(self) -> Dict:
+        """Determinism-observatory hook (obs/digest.py): one
+        ``[addr, state, sorted(sharers), owner, busy_until]`` row per
+        entry in insertion order — the form every recorded digest
+        chain hashed."""
         return {"entries": [[addr, e.state, sorted(e.sharers), e.owner,
                              e.busy_until]
                             for addr, e in self._all_entries().items()]}
@@ -147,23 +182,26 @@ class Directory:
     def restore(self, state: Dict) -> None:
         """Reinstate a :meth:`snapshot`, deferred until first use.
 
-        The image's rows are kept, not copied: they are only ever read
-        (by :meth:`_all_entries`), never mutated or handed out, so the
-        image stays read-only (docs/SNAPSHOTS.md).
+        The image's columns are kept, not copied: they are only ever
+        read (by :meth:`_all_entries`), never mutated or handed out, so
+        the image stays read-only (docs/SNAPSHOTS.md).
         """
         self._entries.clear()
-        self._pending = state["entries"] or None
+        self._pending = state if len(state["addrs"]) else None
 
     def _all_entries(self) -> Dict[int, DirEntry]:
         """The entry map, with any pending image rows built into it
         first, in image order."""
-        rows, self._pending = self._pending, None
-        if rows is not None:
+        columns, self._pending = self._pending, None
+        if columns is not None:
             entries = self._entries
-            for addr, dir_state, sharers, owner, busy_until in rows:
+            for addr, dir_state, mask, owner, busy_until in zip(
+                    columns["addrs"], columns["states"], columns["sharers"],
+                    columns["owners"], columns["busy_until"]):
                 entry = DirEntry()
                 entry.state = dir_state
-                entry.sharers = set(sharers)
+                if mask:
+                    entry.sharers = _mask_sharers(mask)
                 entry.owner = owner
                 entry.busy_until = busy_until
                 entries[addr] = entry

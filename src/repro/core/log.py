@@ -96,7 +96,8 @@ def unwrap_sequence(seqs: Iterable[int]) -> Dict[int, int]:
     """Map wrapped 16-bit sequence numbers to a totally ordered rebase.
 
     Valid as long as fewer than 2^15 slots are live at once, which the
-    region-size validation guarantees.
+    region-size validation guarantees.  The per-value reference for
+    :func:`_rebase_sequences`, the column form recovery uses.
     """
     seqs = list(seqs)
     if not seqs:
@@ -106,6 +107,15 @@ def unwrap_sequence(seqs: Iterable[int]) -> Dict[int, int]:
         return {s: s for s in seqs}
     # The live window straddles the wrap point: small values are newer.
     return {s: s + _SEQ_MOD if s < _SEQ_MOD // 2 else s for s in seqs}
+
+
+def _rebase_sequences(seqs: np.ndarray) -> np.ndarray:
+    """:func:`unwrap_sequence` over a column: the rebased sequence
+    numbers as int64, in input order."""
+    seqs = seqs.astype(np.int64)
+    if len(seqs) and int(seqs.max()) - int(seqs.min()) > _SEQ_MOD // 2:
+        seqs[seqs < _SEQ_MOD // 2] += _SEQ_MOD
+    return seqs
 
 
 class MemoryLog:
@@ -285,7 +295,8 @@ class MemoryLog:
 
         The log's single decoder: every view of the region's records —
         :meth:`decode_region`, :meth:`find_commit_records`,
-        :meth:`entries_to_undo` — is a selection over one scan.
+        :meth:`entries_to_undo`, and recovery's columnar
+        :meth:`RegionScan.undo_window` — is a selection over one scan.
         """
         return RegionScan(self.region_lines, self.n_blocks, read_line)
 
@@ -310,7 +321,7 @@ class MemoryLog:
         """
         if decoded is None:
             decoded = self.scan_region(read_line)
-        return decoded.undo_window(target_epoch, upto_epoch)
+        return decoded.undo_entries(target_epoch, upto_epoch)
 
     def find_commit_records(self,
                             read_line: Callable[[int], int]) -> List[LogEntry]:
@@ -415,20 +426,24 @@ class RegionScan:
     def __len__(self) -> int:
         return len(self._positions)
 
-    def _materialise(self, picks: np.ndarray) -> List[LogEntry]:
-        """Read the entry lines of the picked slots; ring order."""
+    def _values(self, picks: np.ndarray) -> List[int]:
+        """Read the entry lines of the picked slots, in pick order."""
         region, read = self._region, self._read_line
-        out: List[LogEntry] = []
-        for pos, epoch, seq, addr, commit in zip(
-                self._positions[picks].tolist(),
-                self._epochs[picks].tolist(), self._seqs[picks].tolist(),
-                self._addrs[picks].tolist(), self._commits[picks].tolist()):
-            block, within = divmod(pos, ENTRIES_PER_BLOCK)
-            value = read(region[block * LINES_PER_BLOCK + 1 + within])
-            out.append(LogEntry(addr=-1 if commit else addr << 6,
-                                epoch=epoch, seq=seq, value=value,
-                                is_commit=commit))
-        return out
+        positions = self._positions[picks]
+        lines = (positions // ENTRIES_PER_BLOCK * LINES_PER_BLOCK + 1
+                 + positions % ENTRIES_PER_BLOCK)
+        return [read(region[line]) for line in lines.tolist()]
+
+    def _materialise(self, picks: np.ndarray) -> List[LogEntry]:
+        """:class:`LogEntry` objects of the picked slots, in pick order."""
+        return [LogEntry(addr=-1 if commit else addr << 6, epoch=epoch,
+                         seq=seq, value=value, is_commit=commit)
+                for epoch, seq, addr, commit, value in zip(
+                    self._epochs[picks].tolist(),
+                    self._seqs[picks].tolist(),
+                    self._addrs[picks].tolist(),
+                    self._commits[picks].tolist(),
+                    self._values(picks))]
 
     def records(self) -> List[LogEntry]:
         """Every valid record, in ring-position order."""
@@ -438,15 +453,32 @@ class RegionScan:
         """The commit records, in ring-position order."""
         return self._materialise(np.flatnonzero(self._commits))
 
-    def undo_window(self, target_epoch: int,
-                    upto_epoch: int) -> List[LogEntry]:
-        """Data records with epoch in [target, upto], newest first
-        (see :meth:`MemoryLog.entries_to_undo`)."""
+    def _undo_picks(self, target_epoch: int,
+                    upto_epoch: int) -> np.ndarray:
+        """Slots of the data records with epoch in [target, upto],
+        newest first (ties, which a valid log never has, keep ring
+        order)."""
         keep = np.zeros(_EPOCH_MOD, dtype=bool)
         keep[[e % _EPOCH_MOD
               for e in range(target_epoch, upto_epoch + 1)]] = True
-        live = self._materialise(
-            np.flatnonzero(keep[self._epochs] & ~self._commits))
-        rebase = unwrap_sequence([e.seq for e in live])
-        live.sort(key=lambda e: rebase[e.seq], reverse=True)
-        return live
+        picks = np.flatnonzero(keep[self._epochs] & ~self._commits)
+        newest_first = np.argsort(-_rebase_sequences(self._seqs[picks]),
+                                  kind="stable")
+        return picks[newest_first]
+
+    def undo_window(self, target_epoch: int, upto_epoch: int
+                    ) -> Tuple[List[int], List[int]]:
+        """The undo window as columns: ``(addrs, values)`` of the data
+        records with epoch in [target, upto], newest first.
+
+        Reads only the window's entry lines and builds no per-record
+        object: recovery's rollback needs nothing else.
+        """
+        picks = self._undo_picks(target_epoch, upto_epoch)
+        return (self._addrs[picks] << 6).tolist(), self._values(picks)
+
+    def undo_entries(self, target_epoch: int,
+                     upto_epoch: int) -> List[LogEntry]:
+        """:meth:`undo_window` as :class:`LogEntry` objects (see
+        :meth:`MemoryLog.entries_to_undo`)."""
+        return self._materialise(self._undo_picks(target_epoch, upto_epoch))

@@ -346,35 +346,40 @@ class RecoveryManager:
         page reconstruction sound: a lost page is rebuilt from stripe
         members that may themselves have been rolled back already.
 
-        ``decoded`` is the :meth:`decode_logs` map.  Returns the phase
+        ``decoded`` is the :meth:`decode_logs` map; each node's undo
+        window comes off it as ``(addrs, values)`` columns
+        (:meth:`~repro.core.log.RegionScan.undo_window`), and only the
+        lost node's entries need a page lookup.  Returns the phase
         duration, the entries undone, and the set of ``(node, page)``
         rebuilt on demand, which Phase 4 then skips.
         """
         machine = self.machine
-        space = machine.addr_space
+        page_of = machine.addr_space.page_of
+        restore_line = self._restore_line
+        entry_cost = self._entry_restore_cost_ns()
         total_entries = 0
         per_node_cost: List[int] = []
         rebuilt_pages: Set[Tuple[int, int]] = set()
 
         for node in machine.nodes:
-            log = machine.revive.logs[node.node_id]
-            entries = log.entries_to_undo(target_epoch, committed,
-                                          node.memory.read_line,
-                                          decoded=decoded[node.node_id])
-            cost = 0
-            for entry in entries:
-                page_key = (node.node_id, space.page_of(entry.addr))
-                if (lost_node is not None and node.node_id == lost_node
-                        and page_key not in rebuilt_pages):
-                    # Restoring into a lost page: rebuild its stripe
-                    # member first so unlogged lines recover too.
-                    self._rebuild_page(*page_key)
-                    rebuilt_pages.add(page_key)
-                    cost += self._page_rebuild_cost_ns()
-                self._restore_line(node.node_id, entry.addr, entry.value,
-                                   lost_node)
-                cost += self._entry_restore_cost_ns()
-                total_entries += 1
+            node_id = node.node_id
+            addrs, values = decoded[node_id].undo_window(target_epoch,
+                                                         committed)
+            cost = len(addrs) * entry_cost
+            if node_id == lost_node:
+                for addr, value in zip(addrs, values):
+                    page_key = (node_id, page_of(addr))
+                    if page_key not in rebuilt_pages:
+                        # Restoring into a lost page: rebuild its stripe
+                        # member first so unlogged lines recover too.
+                        self._rebuild_page(*page_key)
+                        rebuilt_pages.add(page_key)
+                        cost += self._page_rebuild_cost_ns()
+                    restore_line(node_id, addr, value, lost_node)
+            else:
+                for addr, value in zip(addrs, values):
+                    restore_line(node_id, addr, value, lost_node)
+            total_entries += len(addrs)
             per_node_cost.append(cost)
 
         if lost_node is not None:
@@ -428,8 +433,8 @@ class RecoveryManager:
         Only the lost node's pages are stale: (a) its remaining data
         and reserved pages are rebuilt from parity, skipping
         ``already`` (the pages Phase 3 rebuilt on demand), and (b) its
-        parity pages are recomputed from their data pages.  The rollback kept every
-        other stripe's parity live through
+        parity pages are recomputed from their data pages.  The
+        rollback kept every other stripe's parity live through
         :meth:`~repro.core.parity.ParityEngine.apply_update`, so a
         transient fault repairs nothing.  The returned duration models
         the machine at ``rebuild_dedication`` of its capacity; the

@@ -147,10 +147,11 @@ class Processor:
 
         The workload stream is a pure deterministic generator, so its
         position is fully described by the number of chunks consumed —
-        :meth:`restore` rebuilds the stream and fast-forwards it.  The
-        compiled batch closure and its batch-local counters need no
-        capture: counters are flushed to the shared statistics at every
-        batch boundary, and snapshots are only taken between batches.
+        after :meth:`restore`, the first dispatch rebuilds the stream
+        and fast-forwards it.  The compiled batch closure and its
+        batch-local counters need no capture: counters are flushed to
+        the shared statistics at every batch boundary, and snapshots
+        are only taken between batches.
         """
         return {
             "time": self.time,
@@ -165,14 +166,14 @@ class Processor:
         }
 
     def restore(self, state: dict) -> None:
-        """Reinstate a :meth:`snapshot`, replaying the workload stream.
+        """Reinstate a :meth:`snapshot`; the stream is replayed lazily.
 
-        The machine's workload must already be attached.  The current
-        reference chunk (if the snapshot rests mid-chunk) is re-derived
-        from the replayed stream's final yield and resumes as columnar
-        arrays plus the saved index — no Python-list materialization;
-        barrier and marker chunks leave the reference arrays empty,
-        exactly as :meth:`_next_chunk` does.
+        The machine's workload must already be attached.  Restore only
+        records the cursor and leaves ``_stream`` unset:
+        :meth:`_run_batch` replays it on the processor's first dispatch
+        (:meth:`_replay_stream`), so a restored machine that never runs
+        this processor again — every forked fault scenario — never pays
+        for the fast-forward.
         """
         self.time = state["time"]
         self.finished = state["finished"]
@@ -195,8 +196,17 @@ class Processor:
         hier.l2.sync_hook = None
         self._gaps, self._vaddrs, self._writes = (_NO_GAPS, _NO_ADDRS,
                                                   _NO_WRITES)
-        if self.finished:
-            return
+        self._stream = None
+
+    def _replay_stream(self) -> None:
+        """Rebuild the stream of a restored processor at its cursor.
+
+        The current reference chunk (if the snapshot rests mid-chunk)
+        is re-derived from the replayed stream's final yield and resumes
+        as columnar arrays plus the saved index — no Python-list
+        materialization; barrier and marker chunks leave the reference
+        arrays empty, exactly as :meth:`_next_chunk` does.
+        """
         stream, last = self.machine.workload.replay_stream(self.node_id,
                                                            self._chunks)
         self._stream = stream
@@ -205,10 +215,14 @@ class Processor:
             self._gaps = np.asarray(gaps, dtype=np.int64)
             self._vaddrs = np.asarray(vaddrs, dtype=np.int64)
             self._writes = np.asarray(writes, dtype=bool)
+            self._chunk_serial += 1
 
     # -- execution ------------------------------------------------------------
 
     def _run_batch(self) -> Optional[int]:
+        """Run one activation: the entry point of both execution tiers."""
+        if self._stream is None:
+            self._replay_stream()
         if not self.columnar:
             return self._run_batch_reference()
         col_fn = self._columnar_fn

@@ -34,6 +34,7 @@ envelope with ``ts`` 0, catalogued in ``repro.obs.lint``.
 
 from __future__ import annotations
 
+import gc
 import pickle
 import time
 from dataclasses import dataclass, field
@@ -160,6 +161,11 @@ def _scenario_machine(ctx: Dict, scenario: Dict):
     if ctx["images"][scenario["hybrid_fraction"]] is None:
         return warm_machine(app, variant, kwargs, ctx["warm_checkpoints"],
                             digest=digest)
+    # The previous scenario's machine is a dead reference cycle of
+    # several thousand objects.  The image's typed columns allocate too
+    # little to trigger the cyclic GC often, so without this collection
+    # dead machines pile up across a campaign and the peak RSS grows.
+    gc.collect(1)
     # The digest recorder goes in before restore, so the warm-up chain
     # carried inside the image resumes (machine/snapshot.py).
     machine = _new_machine(app, variant, kwargs, digest)

@@ -99,19 +99,26 @@ class RunResult:
         return (self.execution_time_ns / baseline.execution_time_ns) - 1.0
 
 
-def tiny_revive_overrides(nodes: Optional[int]) -> Dict:
-    """ReVive overrides scaled down for a ``MachineConfig.tiny`` machine.
+def tiny_revive_overrides(nodes: Optional[int],
+                          variant: str = "cp_parity") -> Dict:
+    """ReVive overrides of ``variant`` scaled down for a
+    ``MachineConfig.tiny`` machine.
 
     A tiny machine has fewer nodes than the paper's 7+1 parity group
-    and far less memory pressure than the bench preset assumes, so the
-    parity group shrinks to fit and the per-node log shrinks with it.
-    Shared by the CLI (``--nodes``) and the simulation service so both
-    produce the *same* run kwargs — and therefore the same config
-    digests and cache keys — for the same request.  ``nodes=None``
-    (full bench machine) means no overrides.
+    and far less memory pressure than the bench preset assumes, so a
+    parity variant's group shrinks to fit and the per-node log shrinks
+    with it (64 KB).  A mirroring variant keeps its group of 1; its
+    mirror takes half of each node's memory, so its log halves too
+    (32 KB), or the smallest workloads would not fit.  Shared by the
+    CLI (``--nodes``) and the simulation service so both produce the
+    *same* run kwargs — and therefore the same config digests and cache
+    keys — for the same request.  ``nodes=None`` (full bench machine)
+    means no overrides.
     """
     if nodes is None:
         return {}
+    if variant.endswith("mirroring"):
+        return {"parity_group_size": 1, "log_bytes_per_node": 32 * 1024}
     return {"parity_group_size": min(7, nodes - 1),
             "log_bytes_per_node": 64 * 1024}
 

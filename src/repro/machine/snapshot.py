@@ -18,9 +18,15 @@ What is *not* serialized, and why it is safe:
   descriptors; the actor registry is rebuilt deterministically because
   ``attach_workload`` schedules processors in node order.
 * **Workload streams.**  Streams are pure functions of (workload spec,
-  proc id); each processor records how many chunks it consumed and
-  restore replays that many
-  (:meth:`repro.workloads.base.Workload.replay_stream`).
+  proc id); each processor records how many chunks it consumed, and a
+  restored processor replays that many on its first dispatch
+  (:meth:`repro.workloads.base.Workload.replay_stream`) — a restored
+  machine that never runs a processor again never replays its stream.
+
+Bulky integer state (calendar buckets, memory-line addresses,
+directory rows, log-size samples) is stored as typed ``array``
+columns (:func:`repro.sim.columns.int_column`), so an image unpickles
+into a few hundred containers instead of tens of thousands.
 * **Compiled batch closures.**  The columnar batch engine flushes its
   local counters at chunk and deadline boundaries — exactly the points
   where the machine is quiescent enough to snapshot — and is
@@ -45,7 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Bump when the snapshot layout changes; stored images carry it and a
 #: mismatch on restore fails loudly instead of resuming garbage.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 class SnapshotError(RuntimeError):

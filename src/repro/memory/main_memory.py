@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Tuple
 
+from repro.sim.columns import int_column
+
 
 class LostMemoryError(RuntimeError):
     """Raised when reading or writing memory on a lost node."""
@@ -67,13 +69,25 @@ class NodeMemory:
         return iter(self._lines.items())
 
     def snapshot(self) -> Dict:
-        """Plain-data state: non-zero lines in insertion order + lost flag."""
+        """Plain-data state: non-zero lines in insertion order + lost flag.
+
+        Addresses travel as a typed column, values (up to 512 bits) as a
+        plain list of ints beside it.
+        """
+        return {"addrs": int_column(self._lines.keys()),
+                "values": list(self._lines.values()),
+                "lost": self.lost}
+
+    def digest_state(self) -> Dict:
+        """Determinism-observatory hook (obs/digest.py): the
+        ``(addr, value)`` pairs in insertion order plus the lost flag —
+        the form every recorded digest chain hashed."""
         return {"lines": list(self._lines.items()), "lost": self.lost}
 
     def restore(self, state: Dict) -> None:
         """Reinstate a :meth:`snapshot` (docs/SNAPSHOTS.md)."""
         self._lines.clear()
-        self._lines.update(state["lines"])
+        self._lines.update(zip(state["addrs"], state["values"]))
         self.lost = state["lost"]
 
     def __len__(self) -> int:

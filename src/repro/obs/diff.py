@@ -95,7 +95,7 @@ def _machine_from_spec(spec: Dict):
 
     nodes = spec.get("nodes")
     machine_config = MachineConfig.tiny(nodes) if nodes else None
-    overrides = (tiny_revive_overrides(nodes)
+    overrides = (tiny_revive_overrides(nodes, spec["variant"])
                  if spec["variant"] != "baseline" else {})
     machine = build_machine(spec["variant"], machine_config,
                             int(spec["interval_us"] * 1000), **overrides)

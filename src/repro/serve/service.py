@@ -229,7 +229,7 @@ def _service_campaign(req: Dict, cache_dir: Optional[str]):
         interval_ns=int(req["interval_us"] * 1000),
         machine_config=machine_config, cache_dir=cache_dir,
         serial=True, tracer=tracer, digest=req.get("digest", False),
-        **tiny_revive_overrides(nodes))
+        **tiny_revive_overrides(nodes, req["variants"][0]))
     return campaign.to_jsonable(), sink.events()
 
 
@@ -571,12 +571,16 @@ class SimulationService:
                 self._inflight.pop(key, None)
 
     def close(self) -> None:
-        """Shut the worker pool and heartbeat down (idempotent)."""
+        """Shut the worker pool and heartbeat down (idempotent).
+
+        Queued jobs are cancelled and the call waits for the workers to
+        exit, so no worker process outlives the service.
+        """
         if self._heartbeat_task is not None:
             self._heartbeat_task.cancel()
             self._heartbeat_task = None
         if self._executor is not None:
-            self._executor.shutdown(wait=False)
+            self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
 
 

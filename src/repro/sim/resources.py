@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro.sim.columns import int_column
+
 #: Calendar granularity.  Occupancies in this model are 1-25 ns, so a
 #: 128 ns bucket keeps per-bucket arithmetic coarse but fair.
 BUCKET_NS = 128
@@ -149,8 +151,13 @@ class Resource:
         self._full_until = -1
 
     def snapshot(self) -> Dict:
-        """Plain-data state of the calendar and its counters."""
-        return {"buckets": list(self._buckets.items()),
+        """Plain-data state of the calendar and its counters.
+
+        The bucket dict travels as two typed columns (bucket index,
+        capacity used), in the dict's insertion order.
+        """
+        return {"buckets": int_column(self._buckets.keys()),
+                "used": int_column(self._buckets.values()),
                 "busy_time": self.busy_time,
                 "requests": self.requests,
                 "max_seen": self._max_seen,
@@ -182,7 +189,7 @@ class Resource:
     def restore(self, state: Dict) -> None:
         """Reinstate a :meth:`snapshot` (docs/SNAPSHOTS.md)."""
         self._buckets.clear()
-        self._buckets.update(state["buckets"])
+        self._buckets.update(zip(state["buckets"], state["used"]))
         self.busy_time = state["busy_time"]
         self.requests = state["requests"]
         self._max_seen = state["max_seen"]

@@ -17,9 +17,11 @@ agree by construction.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.sim.columns import int_column
 
 __all__ = ["TRAFFIC_CATEGORIES", "Counter", "Gauge", "Histogram",
            "TrafficBreakdown", "StatsRegistry"]
@@ -115,11 +117,16 @@ class StatsRegistry(MetricsRegistry):
         gauge.set(nbytes)
 
     def state(self) -> Dict:
-        """Registry metrics plus the paper-specific aggregates."""
+        """Registry metrics plus the paper-specific aggregates.
+
+        The Figure 11 samples travel as one flat typed column,
+        ``time, bytes, time, bytes, ...``.
+        """
         state = super().state()
         state["network_traffic"] = self.network_traffic.as_dict()
         state["memory_traffic"] = self.memory_traffic.as_dict()
-        state["log_size_samples"] = [list(s) for s in self.log_size_samples]
+        state["log_size_samples"] = int_column(
+            chain.from_iterable(self.log_size_samples))
         return state
 
     def digest_state(self) -> Dict:
@@ -133,8 +140,6 @@ class StatsRegistry(MetricsRegistry):
         packed-int fast path (count plus hash) rather than re-encoded
         as JSON at every window.
         """
-        from itertools import chain
-
         from repro.obs.digest import packed_ints_digest
 
         state = super().state()
@@ -152,5 +157,5 @@ class StatsRegistry(MetricsRegistry):
         self.network_traffic.bytes_by_category.update(
             state["network_traffic"])
         self.memory_traffic.bytes_by_category.update(state["memory_traffic"])
-        self.log_size_samples[:] = [tuple(s)
-                                    for s in state["log_size_samples"]]
+        flat = state["log_size_samples"]
+        self.log_size_samples[:] = zip(flat[0::2], flat[1::2])

@@ -90,6 +90,34 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["sweep", "nosuchapp"])
 
+    def test_tiny_mirroring_is_not_parity(self, capsys, tmp_path):
+        """On a ``--nodes`` machine cp_mirroring keeps its 1+1 mirror
+        pairs instead of taking the parity variant's shrunk group."""
+        import json
+
+        seen = {}
+        for variant in ("cp_parity", "cp_mirroring"):
+            path = tmp_path / f"{variant}.json"
+            assert main(["run", "fft", "--nodes", "4", "--scale", "0.05",
+                         "--interval-us", "25", "--variant", variant,
+                         "--digest", str(path)]) == 0
+            par = next(line for line in capsys.readouterr().out
+                       .splitlines() if "memory traffic PAR" in line)
+            windows = json.loads(path.read_text())["chain"]["windows"]
+            seen[variant] = (par, windows[-1]["machine"])
+        assert seen["cp_parity"][0] != seen["cp_mirroring"][0]
+        assert seen["cp_parity"][1] != seen["cp_mirroring"][1]
+
+    def test_tiny_overrides_follow_the_variant(self):
+        from repro.harness.runner import tiny_revive_overrides
+
+        assert tiny_revive_overrides(4) == tiny_revive_overrides(
+            4, "cp_parity") == {"parity_group_size": 3,
+                                "log_bytes_per_node": 64 * 1024}
+        assert tiny_revive_overrides(4, "cpinf_mirroring") == {
+            "parity_group_size": 1, "log_bytes_per_node": 32 * 1024}
+        assert tiny_revive_overrides(None, "cp_mirroring") == {}
+
     def test_recover_small(self, capsys):
         rc = main(["recover", "lu", "--scale", "0.6",
                    "--interval-us", "100"])

@@ -4,6 +4,8 @@
 entries only when something first reads the directory.  A directory
 cleared straight after a restore (every forked fault scenario) never
 builds them; one that is read sees exactly the image, in image order.
+The image is columnar (addresses, states, owners, ``busy_until`` and
+sharer bitmasks); restore keeps the columns without copying them.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ def image():
     machine = run_toy(build_tiny_machine(), ToyWorkload(rounds=1),
                       until=30_000)
     state = max((node.directory.snapshot() for node in machine.nodes),
-                key=lambda s: len(s["entries"]))
-    assert len(state["entries"]) > 100
+                key=lambda s: len(s["addrs"]))
+    assert len(state["addrs"]) > 100
     return state
 
 
@@ -46,14 +48,14 @@ def test_cleared_restore_builds_no_entry(image, monkeypatch):
     assert built == []
     [event] = directory.tracer.sink.events()
     assert (event["name"], event["ts"], event["entries"]) == \
-        ("coh.clear", 7, len(image["entries"]))
+        ("coh.clear", 7, len(image["addrs"]))
     assert len(directory) == 0
 
 
 def test_first_read_builds_in_image_order(image):
-    order = [row[0] for row in image["entries"]]
+    order = list(image["addrs"])
     directory = restored(image)
-    assert directory.peek(order[-1]).owner == image["entries"][-1][3]
+    assert directory.peek(order[-1]).owner == image["owners"][-1]
     assert [addr for addr, _entry in directory.entries()] == order
     fresh = max(order) + 64
     directory.entry(fresh)                 # a miss after the build
@@ -66,7 +68,7 @@ def test_untouched_snapshot_equals_image_rows_unaliased(image):
     directory = restored(image)
     snap = directory.snapshot()
     assert snap == pristine
-    assert snap["entries"] is not image["entries"]
+    assert all(snap[column] is not image[column] for column in image)
     for addr, entry in directory.entries():
         entry.set_exclusive(3)
         entry.busy_until += 1

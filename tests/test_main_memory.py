@@ -1,5 +1,7 @@
 """Unit tests for the functional per-node memory."""
 
+from array import array
+
 import pytest
 
 from repro.memory.main_memory import LostMemoryError, NodeMemory
@@ -52,7 +54,8 @@ class TestNodeMemory:
         mem.write_line(0x40, 1)
         snap = mem.snapshot()
         mem.write_line(0x40, 2)
-        assert snap == {"lines": [(0x40, 1)], "lost": False}
+        assert snap == {"addrs": array("b", [0x40]), "values": [1],
+                        "lost": False}
 
     def test_snapshot_restore_roundtrip(self):
         mem = NodeMemory(0)

@@ -171,19 +171,13 @@ LOG_OPS = st.lists(
     max_size=120)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(1, 5), LOG_OPS, st.integers(0, 4), st.integers(0, 8))
-def test_block_decode_equals_slot_reference(n_blocks, ops, before_wrap,
-                                            back):
-    """Wrapped rings, reclaimed epochs, torn appends (entry line
-    written, marker not), commit records, and never-written (all-zero)
-    blocks all decode identically, in ring order.  So do the undo
-    window and the commit records read off one metadata scan, also
-    across the 16-bit sequence wrap; the window reads an entry line
-    only for each record it returns."""
+def replay_log_ops(n_blocks, ops, before_wrap):
+    """A log and its store after ``ops``: wrapped rings, reclaimed
+    epochs, torn appends (entry line written, marker not), commit
+    records, optionally starting ``before_wrap`` appends short of the
+    16-bit sequence wrap."""
     log, store = fresh_log(n_blocks=n_blocks), CountingStore()
     if before_wrap:
-        # Start ``before_wrap`` appends short of the sequence wrap.
         log.head = log.tail = log.epoch_start[0] = (1 << 16) - before_wrap
 
     def land(writes):
@@ -214,6 +208,20 @@ def test_block_decode_equals_slot_reference(n_blocks, ops, before_wrap,
             land(log.make_writes(0, 0, store.read, is_commit=True))
             log.commit_append(0, is_commit=True)
             log.advance_epoch()
+    return log, store
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), LOG_OPS, st.integers(0, 4), st.integers(0, 8))
+def test_block_decode_equals_slot_reference(n_blocks, ops, before_wrap,
+                                            back):
+    """Wrapped rings, reclaimed epochs, torn appends (entry line
+    written, marker not), commit records, and never-written (all-zero)
+    blocks all decode identically, in ring order.  So do the undo
+    window and the commit records read off one metadata scan, also
+    across the 16-bit sequence wrap; the window reads an entry line
+    only for each record it returns."""
+    log, store = replay_log_ops(n_blocks, ops, before_wrap)
     expected = reference_decode(log, store.read)
     store.reads.clear()
     got = log.decode_region(store.read)
@@ -230,6 +238,25 @@ def test_block_decode_equals_slot_reference(n_blocks, ops, before_wrap,
     assert len(store.reads) == log.n_blocks + len(window)
     assert log.find_commit_records(store.read) == commits
     assert len(log.scan_region(store.read)) == len(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), LOG_OPS, st.integers(0, 12), st.integers(0, 8))
+def test_undo_window_columns_equal_entry_order(n_blocks, ops, before_wrap,
+                                               back):
+    """Recovery's ``(addrs, values)`` undo-window columns list exactly
+    the records of the :class:`LogEntry` window, newest first, also
+    across the 16-bit sequence wrap, reading one entry line each."""
+    log, store = replay_log_ops(n_blocks, ops, before_wrap)
+    target = max(0, log.current_epoch - back)
+    window, _commits = reference_window(log, store.read, target,
+                                        log.current_epoch)
+    scan = log.scan_region(store.read)
+    store.reads.clear()
+    addrs, values = scan.undo_window(target, log.current_epoch)
+    assert addrs == [entry.addr for entry in window]
+    assert values == [entry.value for entry in window]
+    assert len(store.reads) == len(window)
 
 
 @settings(max_examples=60, deadline=None)
