@@ -30,14 +30,18 @@ Inject a fault and recover::
     result = RecoveryManager(machine).recover(
         detect_time=machine.simulator.now)
 
-Observe a run (docs/OBSERVABILITY.md)::
+Observe a run (docs/OBSERVABILITY.md) — every harness entry point
+(``run_app``, ``warm_machine``, ``run_sweep``, ``run_campaign``) takes
+one ``observe=`` argument::
 
-    from repro import Tracer, Profiler
-    from repro.obs import JsonlFileSink
+    from repro import Observe, run_app
+    result = run_app("ocean", "cp_parity",
+                     observe=Observe(trace="trace.jsonl",
+                                     ledger="run.ledger.json",
+                                     profile=True, digest=True))
 
-    tracer = Tracer(sink=JsonlFileSink("trace.jsonl"))
-    machine = Machine(MachineConfig.tiny(4), ReViveConfig(...),
-                      tracer=tracer, profiler=Profiler())
+A bare machine takes its tracer and profiler directly:
+``Machine(config, revive_config, tracer=, profiler=)``.
 
 Subpackages: ``repro.sim`` (event kernel), ``repro.machine``,
 ``repro.cpu``, ``repro.cache``, ``repro.coherence``, ``repro.memory``,
@@ -63,6 +67,7 @@ __all__ = [
     "get_workload",
     "APP_NAMES",
     "run_app",
+    "Observe",
     "build_machine",
     "Tracer",
     "MetricsRegistry",
@@ -80,6 +85,7 @@ _LAZY = {
     "get_workload": ("repro.workloads.registry", "get_workload"),
     "APP_NAMES": ("repro.workloads.registry", "APP_NAMES"),
     "run_app": ("repro.harness.runner", "run_app"),
+    "Observe": ("repro.harness.observe", "Observe"),
     "build_machine": ("repro.harness.runner", "build_machine"),
     "Tracer": ("repro.obs.tracer", "Tracer"),
     "MetricsRegistry": ("repro.obs.metrics", "MetricsRegistry"),

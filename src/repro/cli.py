@@ -23,11 +23,14 @@ Exposes the common workflows without writing Python::
 
 All commands accept ``--scale`` (run length multiplier),
 ``--interval-us`` (checkpoint interval), and ``--nodes`` (shrink to a
-``MachineConfig.tiny(n)`` machine).  ``run`` and ``recover`` accept
-``--trace PATH`` (write the JSONL event trace documented in
+``MachineConfig.tiny(n)`` machine).  ``run``, ``recover`` and ``trace``
+accept ``--trace PATH`` (write the JSONL event trace documented in
 docs/OBSERVABILITY.md), ``--trace-categories`` (comma-separated
 filter), ``--profile`` (wall-clock profile of the simulator itself),
-and ``--ledger PATH`` (live run-health monitors + manifest).
+and ``--ledger PATH`` (live run-health monitors + manifest).  Every
+command parses its observability flags into one
+:class:`~repro.harness.observe.Observe` value (:func:`_observe`) and
+hands it to the harness, which builds and closes the instruments.
 ``trace`` is the full worked example: a traced run with a node-loss
 fault whose recovery breakdown is recomputed *from the trace* and
 checked against the live ``RecoveryResult``.  ``sweep --trace-dir``
@@ -37,11 +40,12 @@ collects per-job traces and ledgers, merged deterministically;
 nonzero when a recovery verification (or the trace cross-check)
 fails, so the CLI is scriptable in CI.
 
-``sweep`` and ``latency`` accept a shared ``--cache-dir``: a
+``sweep`` and ``campaign`` accept a shared ``--cache-dir``: a
 content-addressed result store (docs/SERVING.md) that lets repeat
-configurations skip the simulation entirely, with a hits/misses log
-line.  ``serve`` runs the async simulation service over the same
-store; ``submit`` streams a run/latency/sweep/report request to it.
+configurations skip the simulation (or a campaign's warm-up) entirely,
+with a hits/misses log line.  ``serve`` runs the async simulation
+service over the same store; ``submit`` streams a
+run/latency/sweep/report request to it.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from repro.harness.campaign import (
     run_campaign,
     warm_machine,
 )
-from repro.harness.executor import run_monitors, write_ledger
+from repro.harness.observe import Observe
 from repro.harness.reporting import (
     format_table,
     profile_table,
@@ -71,16 +75,7 @@ from repro.harness.runner import (
     tiny_revive_overrides,
 )
 from repro.machine.config import MachineConfig
-from repro.obs import (
-    CATEGORIES,
-    JsonlFileSink,
-    MonitorSuite,
-    Profiler,
-    Tracer,
-    attach_monitors,
-    read_trace,
-    recovery_breakdown,
-)
+from repro.obs import CATEGORIES, read_trace, recovery_breakdown
 from repro.sim.stats import TRAFFIC_CATEGORIES
 from repro.workloads.registry import APP_NAMES, paper_reference
 
@@ -336,7 +331,6 @@ def make_parser() -> argparse.ArgumentParser:
                             "traces (e.g. a sweep --trace-dir)")
     lat_p.add_argument("--json", metavar="PATH", default=None,
                        help="also dump the latency report as JSON")
-    _cache_flags(lat_p)
 
     exp_p = sub.add_parser(
         "export-trace",
@@ -438,10 +432,10 @@ def _machine_setup(args):
 
 def _trace_categories(args) -> Optional[List[str]]:
     """The validated ``--trace-categories`` filter (None = all)."""
-    if not args.trace_categories:
+    raw = getattr(args, "trace_categories", None)
+    if not raw:
         return None
-    categories = [c.strip() for c in args.trace_categories.split(",")
-                  if c.strip()]
+    categories = [c.strip() for c in raw.split(",") if c.strip()]
     unknown = sorted(set(categories) - set(CATEGORIES))
     if unknown:
         raise SystemExit(
@@ -450,45 +444,37 @@ def _trace_categories(args) -> Optional[List[str]]:
     return categories
 
 
-def _make_tracer(args) -> Optional[Tracer]:
-    """Build the file tracer requested by ``--trace``, if any."""
-    path = getattr(args, "trace", None) or getattr(args, "out", None)
-    if path is None:
-        return None
-    return Tracer(JsonlFileSink(path), categories=_trace_categories(args))
+def _observe(args) -> Observe:
+    """The command's observability flags as one :class:`Observe`.
 
-
-def _monitoring_setup(args, tracer, variant, run_args):
-    """Attach the standard monitors when ``--ledger`` was requested.
-
-    Returns ``(tracer, suite)``; without ``--ledger`` the tracer passes
-    through and the suite is None.  Monitors are a sink, so requesting
-    a ledger without ``--trace`` still works — the run is observed
-    in-process without writing a trace file.
+    ``--trace`` (``trace --out``, ``sweep --trace-dir``) is the trace
+    path, ``--ledger`` the ledger path; ``--digest`` takes a file
+    path on ``run`` and is a flag on ``sweep``.
     """
-    if not getattr(args, "ledger", None):
-        return tracer, None
-    monitors = run_monitors(variant, run_args)
-    if tracer is None:
-        suite = MonitorSuite(monitors)
-        return Tracer(suite), suite
-    return tracer, attach_monitors(tracer, monitors)
+    trace = (getattr(args, "trace", None) or getattr(args, "out", None)
+             or getattr(args, "trace_dir", None))
+    return Observe(trace=trace, trace_categories=_trace_categories(args),
+                   ledger=getattr(args, "ledger", None),
+                   profile=getattr(args, "profile", False),
+                   digest=bool(getattr(args, "digest", None)))
 
 
-def _write_ledger(args, app, variant, run_args, suite, tracer,
-                  result=None) -> None:
-    """Finalize and write the ``--ledger`` manifest for one command."""
-    manifest = write_ledger(args.ledger, app, variant, run_args, suite,
-                            tracer, result=result)
-    state = "healthy" if manifest["healthy"] else "UNHEALTHY"
-    print(f"ledger: {args.ledger} ({state})")
+def _print_observed(observe: Observe,
+                    profile: Optional[dict] = None) -> None:
+    """Show a finished run's profile; point at its trace and ledger."""
+    if profile is not None:
+        print()
+        print(profile_table(profile))
+    if observe.trace is not None:
+        with open(observe.trace, encoding="utf-8") as handle:
+            events = sum(1 for _line in handle)
+        print(f"trace: {events} events -> {observe.trace}")
+    if observe.ledger is not None:
+        from repro.obs.monitor import read_ledger
 
-
-def _recovery_run_args(args, interval, machine_config, n_procs) -> dict:
-    """The ledger's run arguments for ``recover`` and ``trace``."""
-    return dict(scale=args.scale, n_procs=n_procs, interval_ns=interval,
-                machine_config=machine_config, lost_node=args.lost_node,
-                **tiny_revive_overrides(args.nodes))
+        healthy = read_ledger(observe.ledger)["healthy"]
+        print(f"ledger: {observe.ledger} "
+              f"({'healthy' if healthy else 'UNHEALTHY'})")
 
 
 def cmd_list() -> int:
@@ -521,14 +507,11 @@ def cmd_run(args) -> int:
     machine_config, n_procs = _machine_setup(args)
     overrides = (tiny_revive_overrides(args.nodes, args.variant)
                  if args.variant != "baseline" else {})
-    run_args = dict(scale=args.scale, n_procs=n_procs, interval_ns=interval,
-                    machine_config=machine_config, **overrides)
-    tracer, suite = _monitoring_setup(args, _make_tracer(args),
-                                      args.variant, run_args)
-    profiler = Profiler() if args.profile else None
-    result = run_app(args.app, args.variant, tracer=tracer,
-                     profiler=profiler, digest=bool(args.digest),
-                     **run_args)
+    observe = _observe(args)
+    result = run_app(args.app, args.variant, scale=args.scale,
+                     n_procs=n_procs, interval_ns=interval,
+                     machine_config=machine_config, observe=observe,
+                     **overrides)
     rows = [
         ["execution time (us)", f"{result.execution_time_ns / 1e3:.1f}"],
         ["references", result.total_refs],
@@ -542,9 +525,6 @@ def cmd_run(args) -> int:
     print(format_table(["Metric", "Value"], rows,
                        title=f"{args.app} on "
                              f"{VARIANT_LABELS[args.variant]}"))
-    if result.profile is not None:
-        print()
-        print(profile_table(result.profile))
     if args.digest:
         import os
 
@@ -561,14 +541,7 @@ def cmd_run(args) -> int:
         write_run_digest(args.digest, spec, result.digest)
         print(f"\ndigest: {len(result.digest['windows'])} windows -> "
               f"{args.digest}")
-    if tracer is not None:
-        tracer.close()
-        if args.trace:
-            print(f"\ntrace: {tracer.events_emitted} events -> "
-                  f"{args.trace}")
-    if suite is not None:
-        _write_ledger(args, args.app, args.variant, run_args, suite,
-                      tracer, result=result)
+    _print_observed(observe, result.profile)
     return 0
 
 
@@ -611,9 +584,8 @@ def cmd_sweep(args) -> int:
         workers=args.workers, chunksize=args.chunksize, serial=args.serial,
         scale=args.scale, n_procs=n_procs,
         interval_ns=int(args.interval_us * 1000),
-        machine_config=machine_config, trace_dir=args.trace_dir,
-        trace_categories=_trace_categories(args), cache_dir=cache_dir,
-        digest=args.digest, **tiny_revive_overrides(args.nodes))
+        machine_config=machine_config, cache_dir=cache_dir,
+        observe=_observe(args), **tiny_revive_overrides(args.nodes))
     if args.digest and sweep.digest is not None:
         digested = sum(1 for job in sweep.digest["jobs"]
                        if job["digest"] is not None)
@@ -684,9 +656,7 @@ def cmd_campaign(args) -> int:
                                        "--hybrid-fractions")
                         if args.hybrid_fractions else None)
     machine_config, n_procs = _machine_setup(args)
-    tracer = None
-    if args.trace:
-        tracer = Tracer(JsonlFileSink(args.trace))
+    observe = _observe(args)
     campaign = run_campaign(
         args.app, args.variant, warm_checkpoints=args.warm,
         lost_nodes=tuple(lost_nodes),
@@ -696,7 +666,7 @@ def cmd_campaign(args) -> int:
         interval_ns=int(args.interval_us * 1000),
         machine_config=machine_config, cache_dir=_cache_dir(args),
         workers=args.workers, serial=args.serial, cold=args.cold,
-        tracer=tracer, **tiny_revive_overrides(args.nodes, args.variant))
+        observe=observe, **tiny_revive_overrides(args.nodes, args.variant))
     rows = []
     for outcome in campaign.outcomes:
         lost = ("—" if outcome["lost_node"] is None
@@ -726,9 +696,7 @@ def cmd_campaign(args) -> int:
             state = "cached" if image["cached"] else "captured"
             print(f"warm image {image['key'][:12]}: "
                   f"{image['bytes'] / 1024:.0f}KB ({state})")
-    if tracer is not None:
-        tracer.close()
-        print(f"trace: {tracer.events_emitted} events -> {args.trace}")
+    _print_observed(observe)
     if args.json:
         import json
 
@@ -738,21 +706,25 @@ def cmd_campaign(args) -> int:
     return 0
 
 
-def _worst_case_recovery(args, interval, machine_config, n_procs, tracer,
-                         profiler):
+def _worst_case_recovery(args):
     """Figure 12's worst case on the ``--nodes`` machine.
 
     Warms past the second commit, loses ``--lost-node`` (or takes a
     transient fault) 0.8 of an interval later, and recovers to
-    checkpoint 1.  Returns ``(machine, result)``, or None when the run
-    is too short for two checkpoints.
+    checkpoint 1, observed as the command's flags say; the trace and
+    ledger are complete when this returns.  Returns
+    ``(machine, result)``, or None when the run is too short for two
+    checkpoints.
     """
+    interval = int(args.interval_us * 1000)
+    machine_config, n_procs = _machine_setup(args)
     run_kwargs = dict(scale=args.scale, n_procs=n_procs,
                       interval_ns=interval, machine_config=machine_config,
-                      tracer=tracer, profiler=profiler, debug_snapshots=True,
                       **tiny_revive_overrides(args.nodes))
     try:
-        machine = warm_machine(args.app, "cp_parity", run_kwargs, 2)
+        machine = warm_machine(args.app, "cp_parity",
+                               dict(run_kwargs, debug_snapshots=True), 2,
+                               observe=_observe(args))
     except WarmupTooShort:
         print("run too short for two checkpoints; raise --scale or "
               "lower --interval-us", file=sys.stderr)
@@ -760,19 +732,14 @@ def _worst_case_recovery(args, interval, machine_config, n_procs, tracer,
     _detect, result = _fault_and_recover(
         machine, {"lost_node": args.lost_node, "detect_fraction": 0.8}, 2,
         interval)
+    machine.instruments.close(
+        run_args=dict(run_kwargs, lost_node=args.lost_node))
     return machine, result
 
 
 def cmd_recover(args) -> int:
     """``repro recover``: fault injection + verified recovery."""
-    interval = int(args.interval_us * 1000)
-    machine_config, n_procs = _machine_setup(args)
-    run_args = _recovery_run_args(args, interval, machine_config, n_procs)
-    tracer, suite = _monitoring_setup(args, _make_tracer(args),
-                                      "cp_parity", run_args)
-    profiler = Profiler() if args.profile else None
-    recovered = _worst_case_recovery(args, interval, machine_config,
-                                     n_procs, tracer, profiler)
+    recovered = _worst_case_recovery(args)
     if recovered is None:
         return 2
     machine, result = recovered
@@ -788,15 +755,8 @@ def cmd_recover(args) -> int:
           f"{result.phase4_background_ns / 1e3:.0f}"]],
         title=f"{args.app}: recovery "
               f"({result.entries_undone} entries undone)"))
-    if profiler is not None:
-        print()
-        print(profile_table(profile_summary(profiler)))
-    if tracer is not None:
-        tracer.close()
-        if args.trace:
-            print(f"trace: {tracer.events_emitted} events -> {args.trace}")
-    if suite is not None:
-        _write_ledger(args, args.app, "cp_parity", run_args, suite, tracer)
+    _print_observed(machine.instruments.observe,
+                    profile_summary(machine.profiler))
     if mismatches or broken:
         print(f"VERIFICATION FAILED: {len(mismatches)} mismatching lines, "
               f"{len(broken)} broken stripes", file=sys.stderr)
@@ -815,22 +775,13 @@ def cmd_trace(args) -> int:
     ``RecoveryResult`` — the same procedure docs/OBSERVABILITY.md
     walks through.  Exit status 1 on any mismatch.
     """
-    interval = int(args.interval_us * 1000)
-    machine_config, n_procs = _machine_setup(args)
-    run_args = _recovery_run_args(args, interval, machine_config, n_procs)
-    tracer, suite = _monitoring_setup(args, _make_tracer(args),
-                                      "cp_parity", run_args)
-    trace_path = args.trace or args.out
-    profiler = Profiler() if args.profile else None
-    recovered = _worst_case_recovery(args, interval, machine_config,
-                                     n_procs, tracer, profiler)
+    recovered = _worst_case_recovery(args)
     if recovered is None:
         return 2
     machine, result = recovered
     mismatches = machine.verify_against_snapshot(result.target_epoch)
-    tracer.close()
-
-    events = read_trace(trace_path)
+    observe = machine.instruments.observe
+    events = read_trace(observe.trace)
     print(trace_summary_table(events))
     print()
 
@@ -851,13 +802,8 @@ def cmd_trace(args) -> int:
     print(format_table(
         ["Phase", "RecoveryResult (us)", "From trace (us)", ""],
         rows, title=f"{args.app}: recovery breakdown, live vs "
-                    f"recomputed from {trace_path}"))
-    if profiler is not None:
-        print()
-        print(profile_table(profile_summary(profiler)))
-    print(f"\ntrace: {tracer.events_emitted} events -> {trace_path}")
-    if suite is not None:
-        _write_ledger(args, args.app, "cp_parity", run_args, suite, tracer)
+                    f"recomputed from {observe.trace}"))
+    _print_observed(observe, profile_summary(machine.profiler))
     if mismatches:
         print(f"VERIFICATION FAILED: {len(mismatches)} mismatching lines",
               file=sys.stderr)
@@ -925,12 +871,7 @@ def cmd_latency(args) -> int:
     enabled.  The report is recomputed from the events alone, and for
     a deterministic sweep it is byte-identical whether the traces were
     produced serially or in parallel.
-
-    ``--cache-dir`` memoizes the computed report per trace, keyed by
-    the trace content — re-running over unchanged traces is a lookup.
     """
-    import json as json_mod
-
     from repro.obs.analysis import latency_report
     from repro.obs.report import gather_runs, render_latency
 
@@ -940,39 +881,14 @@ def cmd_latency(args) -> int:
         raise SystemExit(f"no trace at {exc}")
     if not runs:
         raise SystemExit("no traces found under " + ", ".join(args.paths))
-    cache = None
-    cache_dir = _cache_dir(args)
-    if cache_dir is not None:
-        from repro.harness.store import KIND_LATENCY, ResultStore, \
-            content_key
-
-        cache = ResultStore(cache_dir)
     reports = {}
-    hits = misses = 0
     for run in runs:
-        latency = None
-        key = None
-        if cache is not None:
-            blob = json_mod.dumps(run["events"], sort_keys=True,
-                                  separators=(",", ":")).encode("utf-8")
-            key = content_key(blob)
-            entry = cache.get(key)
-            if entry is not None and entry.kind == KIND_LATENCY:
-                latency = entry.payload["report"]
-                hits += 1
-        if latency is None:
-            latency = latency_report(run["events"])
-            if cache is not None:
-                cache.put(key, KIND_LATENCY, {"report": latency})
-                misses += 1
-        reports[run["name"]] = latency
+        latency = reports[run["name"]] = latency_report(run["events"])
         if len(runs) > 1:
             print(f"== {run['name']} ==")
         print(render_latency(latency))
         if len(runs) > 1:
             print()
-    if cache is not None:
-        print(f"cache: {hits} hits, {misses} misses ({cache_dir})")
     if args.json:
         import json
 
@@ -1027,12 +943,12 @@ def cmd_profile(args) -> int:
 
     interval = int(args.interval_us * 1000)
     machine_config, n_procs = _machine_setup(args)
-    profiler = Profiler()
     overrides = (tiny_revive_overrides(args.nodes, args.variant)
                  if args.variant != "baseline" else {})
     result = run_app(args.app, args.variant, scale=args.scale,
                      interval_ns=interval, machine_config=machine_config,
-                     n_procs=n_procs, profiler=profiler, **overrides)
+                     n_procs=n_procs, observe=Observe(profile=True),
+                     **overrides)
     profile = result.profile
     display = profile
     if args.top is not None:
@@ -1058,6 +974,8 @@ def cmd_profile(args) -> int:
         entries = write_profile_counter_trace(profile, args.perfetto)
         print(f"perfetto: {entries} counter entries -> {args.perfetto}")
     if args.trace:
+        from repro.obs.tracer import JsonlFileSink, Tracer
+
         tracer = Tracer(JsonlFileSink(args.trace))
         emit_profile_events(tracer, profile)
         tracer.close()

@@ -26,10 +26,11 @@ the outcomes of cold per-scenario replays — ``cold=True`` runs the
 grid that way for cross-checking and for the
 ``CAMPAIGN_MIN_SPEEDUP`` perf gate (``harness/perf.py``).
 
-Campaign progress is observable: pass ``tracer=`` and the runner emits
-``snap.capture`` (image built), ``snap.restore`` (image served from
-the store), and ``snap.fork`` (grid dispatched) events — ``svc``-style
-envelope with ``ts`` 0, catalogued in ``repro.obs.lint``.
+Campaign progress is observable: pass ``observe=Observe(trace=PATH)``
+and the runner writes ``snap.capture`` (image built), ``snap.restore``
+(image served from the store), and ``snap.fork`` (grid dispatched)
+events there — ``svc``-style envelope with ``ts`` 0, catalogued in
+``repro.obs.lint``.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.faults import NodeLossFault, TransientSystemFault
 from repro.core.recovery import RecoveryManager
+from repro.harness.observe import Instruments, Observe
 from repro.harness.runner import DEFAULT_INTERVAL_NS, build_machine
-from repro.obs.tracer import Tracer
 from repro.workloads.registry import get_workload
 
 #: Detection latencies of the default grid, as fractions of the
@@ -79,41 +80,47 @@ class WarmupTooShort(RuntimeError):
     """The workload finished before the warm-up's target commit."""
 
 
-def _new_machine(app: str, variant: str, run_kwargs: Dict, digest: bool):
-    """A fresh machine of the job with its workload attached, and with
-    a digest recorder installed when ``digest`` is set."""
+def _new_machine(app: str, variant: str, run_kwargs: Dict,
+                 observe: Observe = Observe()):
+    """A fresh machine of the job with its workload attached and the
+    instruments of ``observe`` installed (kept on
+    ``machine.instruments``)."""
+    instruments = Instruments(observe, app, variant, run_kwargs)
     kwargs = dict(run_kwargs)
     interval_ns = kwargs.pop("interval_ns", DEFAULT_INTERVAL_NS)
     scale = kwargs.pop("scale", 1.0)
     n_procs = kwargs.pop("n_procs", 16)
     machine_config = kwargs.pop("machine_config", None)
-    machine = build_machine(variant, machine_config, interval_ns, **kwargs)
+    machine = build_machine(variant, machine_config, interval_ns,
+                            tracer=instruments.tracer,
+                            profiler=instruments.profiler, **kwargs)
     machine.attach_workload(get_workload(app, scale=scale, n_procs=n_procs))
-    if digest:
-        from repro.obs.digest import DigestRecorder
-
-        machine.install_digests(DigestRecorder())
+    machine.install_digests(instruments.digests)
+    machine.instruments = instruments
     return machine
 
 
 def warm_machine(app: str, variant: str, run_kwargs: Dict,
-                 warm_checkpoints: int, digest: bool = False):
+                 warm_checkpoints: int, observe: Observe = Observe()):
     """Build and run one machine to ``warm_checkpoints`` commits.
 
     The fig12 warm-up loop: step the horizon one interval at a time so
     the run pauses as soon as the target commit lands.  Raises when
     the workload finishes first — the campaign needs a live machine.
-    ``digest=True`` installs a determinism-observatory recorder before
-    the first event, so the warm-up's digest chain (window 0 plus one
-    window per commit) rides inside the captured image and forked
-    scenarios resume it (docs/OBSERVABILITY.md).
+
+    ``observe`` is built into the machine's instruments before the
+    first event.  With ``observe.digest`` the warm-up's digest chain
+    (window 0 plus one window per commit) rides inside a captured
+    image and forked scenarios resume it (docs/OBSERVABILITY.md).
+    The run goes on after the warm-up, so the instruments stay open on
+    ``machine.instruments``: whoever ends the run calls its
+    :meth:`~repro.harness.observe.Instruments.close`.
     """
-    machine = _new_machine(app, variant, run_kwargs, digest)
+    machine = _new_machine(app, variant, run_kwargs, observe)
     if machine.checkpointing is None:
         raise ValueError(f"variant {variant!r} takes no checkpoints; "
                          f"campaigns need a checkpointing variant")
-    if digest:
-        machine.record_digest(ts=0)
+    machine.record_digest(ts=0)
     interval_ns = run_kwargs.get("interval_ns", DEFAULT_INTERVAL_NS)
     horizon = (warm_checkpoints + 1) * interval_ns
     while machine.checkpointing.checkpoints_committed < warm_checkpoints:
@@ -157,10 +164,12 @@ def _scenario_machine(ctx: Dict, scenario: Dict):
     """
     app, variant = ctx["app"], ctx["variant"]
     kwargs = _hybrid_kwargs(ctx["run_kwargs"], scenario)
-    digest = bool(ctx.get("digest"))
+    # Only the digest recorder goes in here: profiling starts after
+    # the warm-up or restore (_run_scenario).
+    observe = Observe(digest=ctx["observe"].digest)
     if ctx["images"][scenario["hybrid_fraction"]] is None:
         return warm_machine(app, variant, kwargs, ctx["warm_checkpoints"],
-                            digest=digest)
+                            observe=observe)
     # The previous scenario's machine is a dead reference cycle of
     # several thousand objects.  The image's typed columns allocate too
     # little to trigger the cyclic GC often, so without this collection
@@ -168,7 +177,7 @@ def _scenario_machine(ctx: Dict, scenario: Dict):
     gc.collect(1)
     # The digest recorder goes in before restore, so the warm-up chain
     # carried inside the image resumes (machine/snapshot.py).
-    machine = _new_machine(app, variant, kwargs, digest)
+    machine = _new_machine(app, variant, kwargs, observe)
     machine.restore(_decoded_image(ctx, scenario["hybrid_fraction"]))
     return machine
 
@@ -218,17 +227,15 @@ def _run_scenario(scenario: Dict, ctx: Dict
     to the outcome — but unlike the profile it *is* deterministic:
     forked scenarios resume the chain carried inside the warm image,
     cold scenarios recompute it from scratch, and the two must be
-    identical window for window.  ``run_campaign(digest=True)``
+    identical window for window.  A digesting ``run_campaign``
     reconciles exactly that.
     """
     app, variant = ctx["app"], ctx["variant"]
     machine = _scenario_machine(ctx, scenario)
-
-    profiler = None
-    if ctx.get("profile"):
-        from repro.obs.profiling import Profiler
-
-        profiler = Profiler()
+    # Profiling starts only now, after the warm-up or restore, so cold
+    # and forked scenarios profile the same work.
+    profiler = Instruments(Observe(profile=ctx["observe"].profile)).profiler
+    if profiler is not None:
         machine.install_profiler(profiler)
 
     interval_ns = ctx["run_kwargs"].get("interval_ns", DEFAULT_INTERVAL_NS)
@@ -252,7 +259,7 @@ def _run_scenario(scenario: Dict, ctx: Dict
 
         snapshot = profile_snapshot(profiler)
     chain = None
-    if ctx.get("digest") and machine.digests is not None:
+    if machine.digests is not None:
         # One closing on-demand window fingerprints the recovered
         # state, so the chain covers the scenario end-to-end: warm-up
         # windows + the post-recovery state.
@@ -294,11 +301,11 @@ class CampaignResult:
     parallel: bool = False
     #: True when the grid re-ran warm-ups instead of forking.
     cold: bool = False
-    #: Merged host-time profile across scenarios (``profile=True``),
+    #: Merged host-time profile across scenarios (``observe.profile``),
     #: or None.  Kept beside the outcomes, never inside them: the
     #: cold-vs-forked equality contract covers outcomes only.
     profile: Optional[Dict] = None
-    #: Per-scenario determinism digest chains (``digest=True``), in
+    #: Per-scenario determinism digest chains (``observe.digest``), in
     #: scenario order, or None.  Deterministic — forked chains resume
     #: the warm image's windows, cold chains recompute them, and the
     #: two are identical (``tests/test_digest.py`` pins it).
@@ -325,15 +332,14 @@ class CampaignResult:
         }
 
 
-def _emit(tracer: Optional[Tracer], name: str, **fields) -> None:
+def _emit(tracer, name: str, **fields) -> None:
     """snap.* events ride the svc convention: outside simulated time."""
-    if tracer is not None and tracer.enabled:
+    if tracer is not None:
         tracer.emit(0, "snap", name, **fields)
 
 
 def _warm_image(app: str, variant: str, run_kwargs: Dict,
-                warm_checkpoints: int, cache,
-                tracer: Optional[Tracer],
+                warm_checkpoints: int, cache, tracer,
                 hybrid: Optional[float],
                 digest: bool = False) -> Tuple[bytes, Dict]:
     """The pickled warm image of one configuration, store-backed.
@@ -364,7 +370,7 @@ def _warm_image(app: str, variant: str, run_kwargs: Dict,
                                "bytes": len(image), "cached": True}
     start = time.perf_counter()
     machine = warm_machine(app, variant, run_kwargs, warm_checkpoints,
-                           digest=digest)
+                           observe=Observe(digest=digest))
     image = pickle.dumps(machine.snapshot(),
                          protocol=pickle.HIGHEST_PROTOCOL)
     _emit(tracer, "snap.capture", key=key, bytes=len(image),
@@ -394,9 +400,7 @@ def run_campaign(app: str = "fft", variant: str = "cp_parity",
                  cache_max_bytes: Optional[int] = None,
                  workers: Optional[int] = None, serial: bool = False,
                  cold: bool = False,
-                 tracer: Optional[Tracer] = None,
-                 profile: bool = False,
-                 digest: bool = False,
+                 observe: Observe = Observe(),
                  **revive_overrides) -> CampaignResult:
     """Run a fault campaign: one warm-up, many forked recoveries.
 
@@ -410,17 +414,19 @@ def run_campaign(app: str = "fft", variant: str = "cp_parity",
     scenario instead — same outcomes by the snapshot oracle, used as
     the baseline of the ``CAMPAIGN_MIN_SPEEDUP`` perf gate.
 
-    ``tracer`` observes the campaign itself (``snap.*`` events); it is
-    *not* threaded into the simulated machines, so warm images and
-    scenario outcomes stay byte-identical traced or not.
+    ``observe.trace`` receives the campaign's own ``snap.*`` events
+    (filtered to ``observe.trace_categories``); the tracer is *not*
+    threaded into the simulated machines, so warm images and scenario
+    outcomes stay byte-identical traced or not.  A campaign keeps no
+    run ledger, so ``observe.ledger`` is not used.
 
-    ``profile=True`` installs a host-time profiler in every scenario
+    ``observe.profile`` installs a host-time profiler in every scenario
     machine (after warm-up / restore, so cold and forked profile the
     same work) and merges the per-scenario snapshots into
     ``result.profile`` in scenario order.  Outcomes are unaffected —
     wall-clock attribution never enters an outcome dict.
 
-    ``digest=True`` records the determinism-observatory chain in every
+    ``observe.digest`` records the determinism-observatory chain in every
     scenario: forked scenarios resume the chain carried inside the warm
     image, cold scenarios recompute it from scratch, and both close
     with one on-demand window fingerprinting the recovered state.  The
@@ -449,6 +455,10 @@ def run_campaign(app: str = "fft", variant: str = "cp_parity",
 
         cache = ResultStore(cache_dir, max_bytes=cache_max_bytes)
 
+    # The campaign's own trace: the scenario machines are never traced.
+    tracer = Instruments(Observe(
+        trace=observe.trace,
+        trace_categories=observe.trace_categories)).tracer
     start = time.perf_counter()
     images: Dict[Optional[float], Optional[bytes]] = {}
     image_meta: List[Dict] = []
@@ -458,7 +468,7 @@ def run_campaign(app: str = "fft", variant: str = "cp_parity",
                                     {"hybrid_fraction": hybrid})
             image, meta = _warm_image(app, variant, kwargs,
                                       warm_checkpoints, cache, tracer,
-                                      hybrid, digest=digest)
+                                      hybrid, digest=observe.digest)
             images[hybrid] = image
             image_meta.append(meta)
         fork_key = image_meta[0]["key"] if image_meta else ""
@@ -469,13 +479,16 @@ def run_campaign(app: str = "fft", variant: str = "cp_parity",
 
     ctx = {"app": app, "variant": variant, "run_kwargs": run_kwargs,
            "warm_checkpoints": warm_checkpoints, "images": images,
-           "profile": profile, "digest": digest}
+           "observe": Observe(profile=observe.profile,
+                              digest=observe.digest)}
     ran, n_workers, ran_parallel = run_jobs(
         _run_scenario, scenarios, workers=workers, serial=serial,
         context=ctx)
+    if tracer is not None:
+        tracer.close()
     outcomes = [outcome for outcome, _snap, _chain in ran]
     merged_profile = None
-    if profile:
+    if observe.profile:
         from repro.obs.telemetry import merge_profiles
 
         # Scenario order, never completion order — the merged profile
@@ -485,7 +498,7 @@ def run_campaign(app: str = "fft", variant: str = "cp_parity",
     # Scenario order for the same reason: forked and cold campaigns
     # over the same grid must produce comparable digest lists.
     merged_digests = ([chain for _outcome, _snap, chain in ran]
-                      if digest else None)
+                      if observe.digest else None)
     return CampaignResult(app=app, variant=variant,
                           warm_checkpoints=warm_checkpoints,
                           interval_ns=interval_ns, outcomes=outcomes,

@@ -20,7 +20,8 @@ front-ends run them: :func:`~repro.harness.parallel.run_sweep`,
   Batch mode warns and recomputes the unfinished jobs in-process, so a
   killed worker ends in the correct answer rather than a hang.
 * **One run-cell body.**  :func:`run_job` simulates one (app, variant)
-  cell, observed as its :class:`Observe` value says.
+  cell through :func:`~repro.harness.runner.run_app`, observed as its
+  :class:`~repro.harness.observe.Observe` value says.
 
 Shared job context (a campaign's warm images) travels through the
 pool's ``initializer``; the serial path passes it straight to the job
@@ -34,119 +35,35 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.harness.runner import BENCH_LOG_BYTES, RunResult, run_app
+from repro.harness.observe import Observe
+from repro.harness.runner import RunResult, run_app
 
 #: Failures that degrade a pool to in-process execution: a pool that
 #: cannot start, and one whose worker died mid-job.
 POOL_FAILURES = (OSError, ImportError, PermissionError, BrokenProcessPool)
 
 
-@dataclass(frozen=True)
-class Observe:
-    """How a job is observed — never part of what it computes.
-
-    Kept beside the job's kwargs rather than inside them, so the cache
-    keys and config digests computed from those kwargs cannot see it.
-    ``trace_dir`` turns on the monitor-suite trace and ledger
-    (``<app>__<variant>.jsonl`` / ``.ledger.json``), filtered to
-    ``trace_categories``; ``profile`` attaches a host-time profiler;
-    ``digest`` records the determinism chain.
-    """
-
-    trace_dir: Optional[str] = None
-    trace_categories: Optional[Tuple[str, ...]] = None
-    profile: bool = False
-    digest: bool = False
-
-    @property
-    def key_categories(self) -> Optional[List[str]]:
-        """The category filter folded into store keys: a filtered trace
-        is a different artifact than an unfiltered one."""
-        if self.trace_dir is None or self.trace_categories is None:
-            return None
-        return sorted(self.trace_categories)
-
-    def trace_base(self, app: str, variant: str) -> str:
-        """Path stem of one cell's trace and ledger files."""
-        return os.path.join(self.trace_dir, f"{app}__{variant}")
-
-
-def run_job(app: str, variant: str, kwargs: Dict, observe: Observe
+def run_job(job: Tuple[str, str, Dict], observe: Observe
             ) -> Tuple[RunResult, Optional[Dict]]:
-    """Simulate one (app, variant) cell; module-level so it pickles.
+    """Simulate one ``(app, variant, kwargs)`` cell; module-level so it
+    pickles.
 
-    Returns ``(result, manifest)``.  With ``observe.trace_dir`` set the
-    run is observed by the standard monitor suite, its trace and ledger
-    land in that directory, and the ledger manifest (wall-clock-free)
+    Returns ``(result, manifest)``.  With ``observe.trace`` naming a
+    directory, the cell's trace and ledger land there
+    (:meth:`Observe.cell`) and the ledger manifest (wall-clock-free)
     comes back for the deterministic merge; otherwise the manifest is
     None.
     """
-    profiler = None
-    if observe.profile:
-        from repro.obs.profiling import Profiler
-
-        profiler = Profiler()
-    if observe.trace_dir is None:
-        return run_app(app, variant, profiler=profiler,
-                       digest=observe.digest, **kwargs), None
-
-    from repro.obs.monitor import MonitorSuite
-    from repro.obs.tracer import JsonlFileSink, Tracer
-
-    base = observe.trace_base(app, variant)
-    suite = MonitorSuite(run_monitors(variant, kwargs),
-                         sink=JsonlFileSink(base + ".jsonl"))
-    categories = (list(observe.trace_categories)
-                  if observe.trace_categories is not None else None)
-    tracer = Tracer(suite, categories=categories)
-    result = run_app(app, variant, tracer=tracer, profiler=profiler,
-                     digest=observe.digest, **kwargs)
-    tracer.close()
-    manifest = write_ledger(base + ".ledger.json", app, variant, kwargs,
-                            suite, tracer, result=result)
-    return result, manifest
-
-
-def run_monitors(variant: str, kwargs: Dict) -> List:
-    """The standard monitor set for one run of ``variant`` with
-    :func:`run_app` kwargs ``kwargs``.
-
-    The log monitor's capacity is ``log_bytes_per_node`` (default
-    :data:`BENCH_LOG_BYTES`); the baseline keeps no log, so none.
-    """
-    from repro.obs.monitor import default_monitors
-
-    capacity = None
-    if variant != "baseline":
-        capacity = kwargs.get("log_bytes_per_node", BENCH_LOG_BYTES)
-    return default_monitors(interval_ns=kwargs.get("interval_ns"),
-                            log_capacity_bytes=capacity)
-
-
-def write_ledger(path: str, app: str, variant: str, kwargs: Dict,
-                 suite, tracer, result: Optional[RunResult] = None
-                 ) -> Dict:
-    """Finalize one run's ledger (seeded with the workload's registered
-    seed), write it to ``path`` and return its manifest."""
-    from repro.obs.monitor import RunLedger
-    from repro.workloads.splash2 import SPLASH2_SPECS
-
-    spec = SPLASH2_SPECS.get(app)
-    ledger = RunLedger(app, variant, run_args=kwargs,
-                       seed=spec.seed if spec is not None else None)
-    manifest = ledger.finalize(result=result, monitors=suite,
-                               tracer=tracer)
-    ledger.write(path)
-    return manifest
-
-
-def run_cell(job: Tuple[str, str, Dict], observe: Observe):
-    """:func:`run_job` over one ``(app, variant, kwargs)`` sweep job."""
     app, variant, kwargs = job
-    return run_job(app, variant, kwargs, observe)
+    cell = observe.cell(app, variant)
+    result = run_app(app, variant, observe=cell, **kwargs)
+    if cell.ledger is None:
+        return result, None
+    from repro.obs.monitor import read_ledger
+
+    return result, read_ledger(cell.ledger)
 
 
 def default_workers(n_jobs: int) -> int:

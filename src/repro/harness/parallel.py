@@ -16,10 +16,13 @@ with zero multiprocessing machinery.  A pool that cannot start
 is killed mid-job degrades to the same in-process path with a warning
 rather than an error or a hang.
 
-Traced sweeps (``trace_dir=``): every worker runs its job under a
+Observation arrives as one :class:`~repro.harness.observe.Observe`
+value, ``observe=``, whose ``trace`` path a sweep reads as a directory.
+
+Traced sweeps (``observe.trace``): every worker runs its job under a
 tracer wrapped in the standard monitor suite, writes
 ``<app>__<variant>.jsonl`` + ``<app>__<variant>.ledger.json`` into
-``trace_dir``, and ships the ledger manifest back; the parent merges
+that directory, and ships the ledger manifest back; the parent merges
 the manifests **in canonical job order** into ``sweep.ledger.json``.
 Ledgers carry no wall-clock values, so a traced parallel sweep's
 files are byte-identical to a serial one's — pinned by
@@ -31,11 +34,11 @@ Cached sweeps (``cache_dir=``): every job is first looked up in a
 digest (folded with the trace-category filter and schema versions, see
 ``docs/SERVING.md``).  Hits skip the simulation entirely and — for
 traced sweeps — replay the stored trace and manifest bytes into
-``trace_dir``, byte-identical to a fresh run; misses run normally and
+the trace directory, byte-identical to a fresh run; misses run normally and
 are stored for next time.  ``tests/test_cached_sweep.py`` pins the
 byte-identity.
 
-Profiled sweeps (``profile=True``): every worker runs its job with a
+Profiled sweeps (``observe.profile``): every worker runs its job with a
 :class:`~repro.obs.profiling.Profiler` attached, ships the per-job
 profile snapshot back in ``RunResult.profile``, and the parent merges
 them with :func:`~repro.obs.telemetry.merge_profiles` into
@@ -59,12 +62,12 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.harness.executor import (
-    Observe,
     check_pool_args,
     default_workers,
-    run_cell,
+    run_job,
     run_jobs,
 )
+from repro.harness.observe import Observe
 from repro.harness.runner import DEFAULT_INTERVAL_NS, VARIANTS, RunResult
 from repro.obs.report import overhead_rows
 from repro.workloads.registry import APP_NAMES
@@ -171,12 +174,9 @@ def run_sweep(apps: Optional[Sequence[str]] = None,
               *, workers: Optional[int] = None, chunksize: int = 1,
               serial: bool = False, scale: float = 1.0, n_procs: int = 16,
               interval_ns: int = DEFAULT_INTERVAL_NS, machine_config=None,
-              trace_dir: Optional[str] = None,
-              trace_categories: Optional[Sequence[str]] = None,
               cache_dir: Optional[str] = None,
               cache_max_bytes: Optional[int] = None,
-              profile: bool = False,
-              digest: bool = False,
+              observe: Observe = Observe(),
               **revive_overrides) -> SweepResult:
     """Run an app × variant sweep, fanning out over worker processes.
 
@@ -186,27 +186,28 @@ def run_sweep(apps: Optional[Sequence[str]] = None,
     Results are merged in :func:`sweep_jobs` order, making the output
     independent of scheduling — see the module docstring.
 
-    ``trace_dir`` turns on per-job tracing: each worker writes its
-    job's JSONL trace and ledger manifest there (created if needed),
-    optionally filtered to ``trace_categories``, and the merged
-    ``sweep.ledger.json`` is written after the deterministic merge.
+    ``observe.trace`` names a trace directory and turns on per-job
+    tracing: each worker writes its job's JSONL trace and ledger
+    manifest there (created if needed), filtered to
+    ``observe.trace_categories``, and the merged ``sweep.ledger.json``
+    is written after the deterministic merge.
 
     ``cache_dir`` memoizes jobs through a
     :class:`~repro.harness.store.ResultStore` rooted there: cells whose
     config digest (and trace-category filter) match a stored entry are
     served from the store — traced hits replay the stored trace and
-    ledger bytes into ``trace_dir`` — and only the misses are
+    ledger bytes into the trace directory — and only the misses are
     dispatched to workers.  A traced sweep hitting an entry stored
     without a trace re-runs that cell and upgrades the entry.
     ``cache_max_bytes`` bounds the store (LRU eviction on write).
 
-    ``profile=True`` attaches a host-time profiler to every simulated
+    ``observe.profile`` attaches a host-time profiler to every simulated
     job; per-job snapshots ride back in ``RunResult.profile`` and the
     deterministic merge of them lands in ``SweepResult.profile`` (and
     ``sweep.profile.json`` for traced sweeps).  Cache hits skipped the
     simulation, so they contribute no host time.
 
-    ``digest=True`` records every job's determinism digest chain
+    ``observe.digest`` records every job's determinism digest chain
     (docs/OBSERVABILITY.md, "Determinism observatory"): per-job chains
     ride back in ``RunResult.digest`` and the job-ordered merge lands
     in ``SweepResult.digest`` (and ``sweep.digest.json`` for traced
@@ -223,11 +224,7 @@ def run_sweep(apps: Optional[Sequence[str]] = None,
     jobs = sweep_jobs(apps, variants, scale=scale, n_procs=n_procs,
                       interval_ns=interval_ns, machine_config=machine_config,
                       **revive_overrides)
-    observe = Observe(trace_dir=trace_dir,
-                      trace_categories=(tuple(trace_categories)
-                                        if trace_categories is not None
-                                        else None),
-                      profile=profile, digest=digest)
+    trace_dir = observe.trace
     cache = None
     if cache_dir is not None:
         from repro.harness import store as result_store
@@ -249,7 +246,8 @@ def run_sweep(apps: Optional[Sequence[str]] = None,
             # ``observe`` and cannot reach them.
             keys[index] = result_store.store_key(
                 result_store.job_digest(app, variant, kwargs),
-                trace_categories=observe.key_categories)
+                trace_categories=(observe.trace_categories
+                                  if trace_dir is not None else None))
             entry = result_store.run_entry(cache, keys[index],
                                            traced=trace_dir is not None)
         if entry is None:
@@ -257,17 +255,17 @@ def run_sweep(apps: Optional[Sequence[str]] = None,
             continue
         manifest = entry.payload.get("manifest")
         if trace_dir is not None:
-            base = observe.trace_base(app, variant)
-            with open(base + ".jsonl", "wb") as handle:
+            cell = observe.cell(app, variant)
+            with open(cell.trace, "wb") as handle:
                 handle.write(
                     entry.read_artifact(result_store.TRACE_ARTIFACT))
-            with open(base + ".ledger.json", "wb") as handle:
+            with open(cell.ledger, "wb") as handle:
                 handle.write(result_store.manifest_bytes(manifest))
         cells[index] = (result_store.result_from_payload(entry.payload),
                         manifest)
 
     computed, n_workers, ran_parallel = run_jobs(
-        run_cell, [jobs[index] for index in todo], workers=workers,
+        run_job, [jobs[index] for index in todo], workers=workers,
         serial=serial, chunksize=chunksize, context=observe)
     for index, cell in zip(todo, computed):
         cells[index] = cell
@@ -275,7 +273,7 @@ def run_sweep(apps: Optional[Sequence[str]] = None,
             app, variant, _kwargs = jobs[index]
             artifacts = None
             if trace_dir is not None:
-                with open(observe.trace_base(app, variant) + ".jsonl",
+                with open(observe.cell(app, variant).trace,
                           "rb") as handle:
                     artifacts = {result_store.TRACE_ARTIFACT: handle.read()}
             cache.put(keys[index], result_store.KIND_RUN,
@@ -298,7 +296,7 @@ def run_sweep(apps: Optional[Sequence[str]] = None,
             "jobs": ledgers,
         })
     merged_profile = None
-    if profile:
+    if observe.profile:
         from repro.obs.telemetry import merge_profiles
 
         merged_profile = merge_profiles(
@@ -310,7 +308,7 @@ def run_sweep(apps: Optional[Sequence[str]] = None,
             _write_json(os.path.join(trace_dir, "sweep.profile.json"),
                         merged_profile)
     merged_digest = None
-    if digest:
+    if observe.digest:
         from repro.obs.digest import merge_sweep_digests, write_digest_file
 
         merged_digest = merge_sweep_digests(

@@ -342,8 +342,8 @@ def measure_digest_overhead(rounds: int = 3,
     Runs the cp_parity exhibit at a 50 us checkpoint interval — short
     enough that the bench run commits several checkpoints, so every
     commit rolls a digest window — with the digest recorder installed
-    (the exact wiring of ``run_app(digest=True)``) and every
-    ``record_digest`` call timed.  The gated ``overhead_fraction`` is
+    (the exact wiring of ``run_app(observe=Observe(digest=True))``)
+    and every ``record_digest`` call timed.  The gated ``overhead_fraction`` is
     the attributed fraction: seconds spent digesting over the total
     wall clock of the *same* runs.  Numerator and denominator come
     from one run, so the fraction is robust to the host's run-to-run

@@ -15,18 +15,21 @@ step of the scaling chain documented in DESIGN.md §2: the paper maps
 100 ms on real 2 MB caches to 10 ms on its simulated 128 KB caches; we
 map a further cache shrink onto a proportionally shorter interval).
 
-Observability hook points (see docs/OBSERVABILITY.md for the schema):
+Observability (docs/OBSERVABILITY.md for the schema): every entry
+point takes one :class:`~repro.harness.observe.Observe` argument,
+``observe=``, and :class:`~repro.harness.observe.Instruments` builds
+the run's instruments from it.
 
-* ``build_machine(..., tracer=, profiler=)`` threads a
-  :class:`~repro.obs.tracer.Tracer` and/or
-  :class:`~repro.obs.profiling.Profiler` into the assembled machine —
-  the tracer reaches every emitting component (``sim.*``, ``coh.*``,
-  ``log.*``, ``ckpt.*``, ``recovery.*`` events), the profiler times
-  the ``machine.run`` / ``checkpoint`` / ``recovery`` components.
-* ``run_app(..., tracer=, profiler=)`` does the same for a complete
-  run and, when profiling, fills ``RunResult.profile`` with the
-  wall-clock report rendered by
-  :func:`repro.harness.reporting.profile_table`.
+* ``run_app(..., observe=Observe(trace=, trace_categories=, ledger=,
+  profile=, digest=))`` writes the JSONL event trace (``sim.*``,
+  ``coh.*``, ``log.*``, ``ckpt.*``, ``recovery.*``, ...), observes the
+  run with the standard monitor suite and writes its ledger, fills
+  ``RunResult.profile`` with the host-time report, and records the
+  determinism chain into ``RunResult.digest``.  It closes the tracer
+  and writes the ledger before it returns.
+* ``build_machine(..., tracer=, profiler=)`` is the machine layer
+  beneath: it threads a :class:`~repro.obs.tracer.Tracer` and/or
+  :class:`~repro.obs.profiling.Profiler` into the assembled machine.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.core.config import ReViveConfig
+from repro.harness.observe import Instruments, Observe
 from repro.machine.config import MachineConfig
 from repro.machine.system import Machine
 from repro.obs.profiling import Profiler
@@ -84,7 +88,7 @@ class RunResult:
     #:    "total_wall_seconds"}``.
     profile: Optional[Dict] = None
     #: Determinism-observatory digest chain when the run was digested
-    #: (``run_app(digest=True)``), else None — the
+    #: (``run_app(observe=Observe(digest=True))``), else None — the
     #: :meth:`repro.obs.digest.DigestChain.to_jsonable` shape:
     #: ``{"schema", "windows": [{"window", "epoch", "ts", "prev",
     #:    "components", "machine"}, ...]}``.  Unlike ``profile`` it is
@@ -165,32 +169,31 @@ def run_app(app: str, variant: str = "baseline",
             scale: float = 1.0, n_procs: int = 16,
             interval_ns: int = DEFAULT_INTERVAL_NS,
             until: Optional[int] = None,
-            tracer: Optional[Tracer] = None,
-            profiler: Optional[Profiler] = None,
-            digest: bool = False,
+            observe: Observe = Observe(),
             **revive_overrides) -> RunResult:
     """Run one application analog on one machine variant to completion.
 
-    Pass ``tracer`` / ``profiler`` to observe the run; see
-    docs/OBSERVABILITY.md for the event schema and the profile shape
-    surfaced in ``RunResult.profile``.  ``digest=True`` additionally
-    records the determinism-observatory chain — window 0 (the initial
-    state) plus one window per checkpoint boundary — into
-    ``RunResult.digest``; like profiles, digests are observations and
-    never perturb the simulation.
+    ``observe`` says how the run is observed (see the module docstring
+    and docs/OBSERVABILITY.md); the trace and ledger are complete when
+    this returns.  With ``observe.digest`` the determinism-observatory
+    chain — window 0 (the initial state) plus one window per checkpoint
+    boundary — lands in ``RunResult.digest``; like profiles, digests
+    are observations and never perturb the simulation.
     """
+    run_kwargs = dict(scale=scale, n_procs=n_procs, interval_ns=interval_ns,
+                      machine_config=machine_config, **revive_overrides)
+    instruments = Instruments(observe, app, variant, run_kwargs)
     machine = build_machine(variant, machine_config, interval_ns,
-                            tracer=tracer, profiler=profiler,
+                            tracer=instruments.tracer,
+                            profiler=instruments.profiler,
                             **revive_overrides)
-    workload = get_workload(app, scale=scale, n_procs=n_procs)
-    machine.attach_workload(workload)
-    if digest:
-        from repro.obs.digest import DigestRecorder
-
-        machine.install_digests(DigestRecorder(tracer))
-        machine.record_digest(ts=0)
+    machine.attach_workload(get_workload(app, scale=scale, n_procs=n_procs))
+    machine.install_digests(instruments.digests)
+    machine.record_digest(ts=0)
     machine.run(until=until)
-    return collect_result(machine, app, variant)
+    result = collect_result(machine, app, variant)
+    instruments.close(result)
+    return result
 
 
 def collect_result(machine: Machine, app: str, variant: str) -> RunResult:

@@ -17,8 +17,6 @@ Consumers (all documented in ``docs/SERVING.md``):
   digest-identical sweep cells;
 * :class:`repro.serve.SimulationService` — the async simulation
   service dedupes every request against the store;
-* ``repro latency --cache-dir`` — memoizes span-latency reports keyed
-  by trace content;
 * ``repro.harness.perf`` — the hit-path latency benchmark gated in CI.
 
 Storage contract:
@@ -62,9 +60,6 @@ STORE_VERSION = 1
 #: Entry kind of a cached simulation run (result + manifest + trace).
 KIND_RUN = "run"
 
-#: Entry kind of a cached ``repro latency`` report.
-KIND_LATENCY = "latency_report"
-
 #: Entry kind of a warm machine image captured for a fault campaign.
 KIND_SNAPSHOT = "snapshot"
 
@@ -103,7 +98,7 @@ def job_digest(app: str, variant: str, run_kwargs: Dict,
     same job would stamp into its manifest — the ledger is the oracle
     that makes cache hits provably equivalent to fresh runs.  ``seed``
     defaults to the workload's registered seed, mirroring the ledger
-    construction in :func:`repro.harness.executor.write_ledger`.
+    construction in :meth:`repro.harness.observe.Instruments.close`.
     """
     from repro.obs.monitor import RunLedger
     from repro.workloads.splash2 import SPLASH2_SPECS
@@ -154,12 +149,6 @@ def run_entry(cache: Optional[ResultStore], key: str,
             or not entry.has_artifact(TRACE_ARTIFACT)):
         return None
     return entry
-
-
-def content_key(data: bytes) -> str:
-    """Store key for content-addressed inputs (e.g. a trace file)."""
-    inner = hashlib.sha256(data).hexdigest()
-    return store_key(inner)
 
 
 def manifest_bytes(manifest: Dict) -> bytes:

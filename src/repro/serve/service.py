@@ -45,13 +45,13 @@ import dataclasses
 import hashlib
 import json
 import os
-import shutil
 import tempfile
 from collections import deque
 from time import perf_counter
 from typing import AsyncIterator, Dict, List, Optional, Tuple
 
 from repro.harness import executor, parallel
+from repro.harness.observe import Observe
 from repro.harness.runner import (
     DEFAULT_INTERVAL_NS,
     VARIANTS,
@@ -113,14 +113,16 @@ def _normalise(request) -> Dict:
     """Validate a raw request dict into its canonical form.
 
     Returns ``{op, apps, variants, nodes, scale, interval_us,
-    no_cache, digest}`` with every field defaulted and validated, or
+    no_cache, observe}`` with every field defaulted and validated, or
     raises :class:`ServiceError`.  ``run``/``latency`` requests name
     one ``app`` (and optional ``variant``); ``sweep``/``report``
-    requests name ``apps`` (and optional ``variants``).
-    ``digest: true`` records the determinism-observatory chain in
-    every simulated cell (campaigns included); chains ride back inside
-    each ``svc.result`` and the service accumulates per-cell chain
-    tips for the ``stats`` op's digest surface.
+    requests name ``apps`` (and optional ``variants``).  The request's
+    ``digest: true`` becomes ``observe``, an
+    :class:`~repro.harness.observe.Observe` that records the
+    determinism-observatory chain in every simulated cell (campaigns
+    included); chains ride back inside each ``svc.result`` and the
+    service accumulates per-cell chain tips for the ``stats`` op's
+    digest surface.
     """
     if not isinstance(request, dict):
         raise ServiceError("request must be a JSON object")
@@ -173,7 +175,7 @@ def _normalise(request) -> Dict:
     req = {"op": op, "apps": apps, "variants": variants, "nodes": nodes,
            "scale": float(scale), "interval_us": float(interval_us),
            "no_cache": bool(request.get("no_cache", False)),
-           "digest": bool(request.get("digest", False))}
+           "observe": Observe(digest=bool(request.get("digest", False)))}
     if op == "campaign":
         warm = request.get("warm_checkpoints", 2)
         if not _is_int(warm) or warm < 1:
@@ -200,7 +202,8 @@ def _normalise(request) -> Dict:
 
 def request_key(req: Dict) -> str:
     """sha256 over the canonical normalised request (stream identity)."""
-    blob = json.dumps(req, sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(req, sort_keys=True, separators=(",", ":"),
+                      default=dataclasses.asdict)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -208,29 +211,29 @@ def _service_campaign(req: Dict, cache_dir: Optional[str]):
     """Worker body: one fault campaign; module-level so it pickles.
 
     Runs the campaign serially inside this worker (no nested pools)
-    with the service's result store as the warm-image cache, recording
-    the campaign's ``snap.*`` events in a ring buffer so the service
-    can re-stream them to the client.
+    with the service's result store as the warm-image cache, spooling
+    the campaign's ``snap.*`` events through a scratch trace file (as
+    a run cell's trace is) so the service can re-stream them.
     """
     from repro.harness.campaign import run_campaign
     from repro.machine.config import MachineConfig
-    from repro.obs.tracer import RingBufferSink
+    from repro.obs.analysis import read_trace
 
-    sink = RingBufferSink()
-    tracer = Tracer(sink)
     nodes = req["nodes"]
-    machine_config = MachineConfig.tiny(nodes) if nodes else None
-    campaign = run_campaign(
-        req["apps"][0], req["variants"][0],
-        warm_checkpoints=req["warm_checkpoints"],
-        lost_nodes=tuple(req["lost_nodes"]),
-        detect_fractions=tuple(req["detect_fractions"]),
-        scale=req["scale"], n_procs=nodes or 16,
-        interval_ns=int(req["interval_us"] * 1000),
-        machine_config=machine_config, cache_dir=cache_dir,
-        serial=True, tracer=tracer, digest=req.get("digest", False),
-        **tiny_revive_overrides(nodes, req["variants"][0]))
-    return campaign.to_jsonable(), sink.events()
+    with tempfile.TemporaryDirectory(prefix="repro-serve-") as spool:
+        observe = dataclasses.replace(
+            req["observe"], trace=os.path.join(spool, "campaign.jsonl"))
+        campaign = run_campaign(
+            req["apps"][0], req["variants"][0],
+            warm_checkpoints=req["warm_checkpoints"],
+            lost_nodes=tuple(req["lost_nodes"]),
+            detect_fractions=tuple(req["detect_fractions"]),
+            scale=req["scale"], n_procs=nodes or 16,
+            interval_ns=int(req["interval_us"] * 1000),
+            machine_config=MachineConfig.tiny(nodes) if nodes else None,
+            cache_dir=cache_dir, serial=True, observe=observe,
+            **tiny_revive_overrides(nodes, req["variants"][0]))
+        return campaign.to_jsonable(), read_trace(observe.trace)
 
 
 class SimulationService:
@@ -418,7 +421,7 @@ class SimulationService:
                             jkey, app, variant, kwargs,
                             register=use_cache, store=use_cache,
                             scheduled_at=perf_counter(),
-                            digest=req["digest"]))
+                            observe=req["observe"]))
                         if use_cache:
                             self._inflight[jkey] = task
                 cells.append((app, variant, jkey, entry, task, coalesced))
@@ -528,14 +531,15 @@ class SimulationService:
     async def _run_and_store(self, key: str, app: str, variant: str,
                              kwargs: Dict, register: bool, store: bool,
                              scheduled_at: float,
-                             digest: bool = False) -> Tuple:
+                             observe: Observe) -> Tuple:
         """Simulate one cell in the pool; store the entry on the way out.
 
         The cell runs through :func:`repro.harness.executor.run_job` —
         the same body as a traced ``repro sweep`` cell — so its
         manifest (and therefore its config digest and every stored
         byte) is identical to what a sweep of the same cell produces.
-        The trace spools through a scratch directory.
+        The trace spools through a scratch directory, the trace path of
+        the request's ``observe``.
 
         Returns ``(result, manifest, timing)`` where ``timing`` splits
         the cell's host time into ``queue_wait_s`` (scheduling to
@@ -545,19 +549,18 @@ class SimulationService:
         """
         timing = {"queue_wait_s": 0.0, "execute_s": 0.0}
         try:
-            spool = tempfile.mkdtemp(prefix="repro-serve-")
-            observe = executor.Observe(trace_dir=spool, digest=digest)
             begin = perf_counter()
             timing["queue_wait_s"] = begin - scheduled_at
-            try:
-                result, manifest = await self._offload(
-                    executor.run_job, app, variant, kwargs, observe)
-                with open(observe.trace_base(app, variant) + ".jsonl",
-                          "rb") as handle:
-                    trace = handle.read()
-            finally:
-                timing["execute_s"] = perf_counter() - begin
-                shutil.rmtree(spool, ignore_errors=True)
+            with tempfile.TemporaryDirectory(prefix="repro-serve-") as spool:
+                observe = dataclasses.replace(observe, trace=spool)
+                try:
+                    result, manifest = await self._offload(
+                        executor.run_job, (app, variant, kwargs), observe)
+                    with open(observe.cell(app, variant).trace,
+                              "rb") as handle:
+                        trace = handle.read()
+                finally:
+                    timing["execute_s"] = perf_counter() - begin
             self.metrics.log_histogram("svc.queue_wait_us").record(
                 int(timing["queue_wait_s"] * 1e6))
             self.metrics.log_histogram("svc.execute_us").record(

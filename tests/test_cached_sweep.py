@@ -3,7 +3,7 @@
 A deterministic simulator makes memoization *correct*, not merely
 fast — these tests pin that a warm-cache sweep returns results equal
 to a cold one, that a traced warm sweep replays byte-identical trace
-and ledger files into ``trace_dir`` (the acceptance oracle of
+and ledger files into the trace directory (the acceptance oracle of
 docs/SERVING.md), that result-only entries are upgraded rather than
 served to traced sweeps, and that a corrupted entry silently falls
 back to recompute.
@@ -15,6 +15,7 @@ from dataclasses import asdict
 
 import pytest
 
+from repro.harness.observe import Observe
 from repro.harness.parallel import run_sweep
 from repro.harness.store import ResultStore, job_digest, store_key
 from repro.machine.config import MachineConfig
@@ -82,9 +83,9 @@ class TestTracedCaching:
         cache = tmp_path / "cache"
         cold_dir = tmp_path / "cold"
         warm_dir = tmp_path / "warm"
-        cold = _sweep(cache, trace_dir=str(cold_dir))
+        cold = _sweep(cache, observe=Observe(trace=str(cold_dir)))
         assert cold.cache_misses == 2
-        warm = _sweep(cache, trace_dir=str(warm_dir))
+        warm = _sweep(cache, observe=Observe(trace=str(warm_dir)))
         assert (warm.cache_hits, warm.cache_misses) == (2, 0)
         files = _trace_files(cold_dir)
         assert files == _trace_files(warm_dir)
@@ -99,21 +100,21 @@ class TestTracedCaching:
     def test_traced_and_untraced_entries_are_distinct(self, tmp_path):
         """A category-filtered trace must not be served the full one."""
         cache = tmp_path / "cache"
-        _sweep(cache, trace_dir=str(tmp_path / "full"))
-        filtered = _sweep(cache, trace_dir=str(tmp_path / "coh"),
-                          trace_categories=["coh"])
+        _sweep(cache, observe=Observe(trace=str(tmp_path / "full")))
+        filtered = _sweep(cache, observe=Observe(
+            trace=str(tmp_path / "coh"), trace_categories=["coh"]))
         # Different store key (trace_categories folds in): all misses.
         assert filtered.cache_misses == 2
 
     def test_untraced_entry_upgraded_by_traced_sweep(self, tmp_path):
         cache = tmp_path / "cache"
         cold = _sweep(cache)                     # result-only entries
-        traced = _sweep(cache, trace_dir=str(tmp_path / "t1"))
+        traced = _sweep(cache, observe=Observe(trace=str(tmp_path / "t1")))
         # Result-only entries cannot satisfy a traced sweep: recompute
         # (and upgrade the entries in place).
         assert (traced.cache_hits, traced.cache_misses) == (0, 2)
         assert _comparable(traced) == _comparable(cold)
-        again = _sweep(cache, trace_dir=str(tmp_path / "t2"))
+        again = _sweep(cache, observe=Observe(trace=str(tmp_path / "t2")))
         assert (again.cache_hits, again.cache_misses) == (2, 0)
         # And the upgraded entry still serves untraced sweeps.
         untraced = _sweep(cache)

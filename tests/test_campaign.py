@@ -19,10 +19,11 @@ from repro.harness.campaign import (
     run_campaign,
     warm_machine,
 )
+from repro.harness.observe import Observe
 from repro.harness.runner import tiny_revive_overrides
 from repro.machine.config import MachineConfig
+from repro.obs.analysis import read_trace
 from repro.obs.lint import lint_events
-from repro.obs.tracer import RingBufferSink, Tracer
 
 RUN_KWARGS = dict(scale=0.05, n_procs=4, interval_ns=50_000,
                   machine_config=MachineConfig.tiny(4),
@@ -96,9 +97,11 @@ class TestCampaignProfiles:
         plain = run_campaign("fft", "cp_parity", serial=True,
                              **RUN_KWARGS, **GRID)
         profiled = run_campaign("fft", "cp_parity", serial=True,
-                                profile=True, **RUN_KWARGS, **GRID)
+                                observe=Observe(profile=True),
+                                **RUN_KWARGS, **GRID)
         cold = run_campaign("fft", "cp_parity", serial=True, cold=True,
-                            profile=True, **RUN_KWARGS, **GRID)
+                            observe=Observe(profile=True),
+                            **RUN_KWARGS, **GRID)
         # The cold-vs-forked equality contract survives profiling, and
         # the profile rides beside the outcomes, never inside them.
         assert profiled.outcomes == plain.outcomes
@@ -108,7 +111,8 @@ class TestCampaignProfiles:
 
     def test_merged_profile_covers_every_scenario(self):
         campaign = run_campaign("fft", "cp_parity", serial=True,
-                                profile=True, **RUN_KWARGS, **GRID)
+                                observe=Observe(profile=True),
+                                **RUN_KWARGS, **GRID)
         profile = campaign.profile
         assert profile is not None
         assert profile["jobs"] == len(campaign.outcomes) == 4
@@ -124,7 +128,8 @@ class TestCampaignProfiles:
 
     def test_parallel_profile_merges_in_scenario_order(self):
         parallel = run_campaign("fft", "cp_parity", workers=2,
-                                profile=True, **RUN_KWARGS, **GRID)
+                                observe=Observe(profile=True),
+                                **RUN_KWARGS, **GRID)
         assert parallel.outcomes == run_campaign(
             "fft", "cp_parity", serial=True, **RUN_KWARGS,
             **GRID).outcomes
@@ -161,22 +166,24 @@ class TestWarmImageStore:
 
     def test_snap_events_narrate_the_campaign(self, tmp_path):
         store = str(tmp_path / "store")
-        sink = RingBufferSink()
+        path = str(tmp_path / "first.jsonl")
         run_campaign("fft", "cp_parity", serial=True, cache_dir=store,
-                     tracer=Tracer(sink), **RUN_KWARGS, **GRID)
-        names = [event["name"] for event in sink.events()]
+                     observe=Observe(trace=path), **RUN_KWARGS, **GRID)
+        events = read_trace(path)
+        names = [event["name"] for event in events]
         assert names == ["snap.capture", "snap.fork"]
-        assert lint_events(sink.events()) == []
-        capture, fork = sink.events()
+        assert lint_events(events) == []
+        capture, fork = events
         assert capture["bytes"] > 0 and capture["epoch"] == 2
         assert fork["scenarios"] == 4
 
-        sink2 = RingBufferSink()
+        path2 = str(tmp_path / "again.jsonl")
         run_campaign("fft", "cp_parity", serial=True, cache_dir=store,
-                     tracer=Tracer(sink2), **RUN_KWARGS, **GRID)
-        names2 = [event["name"] for event in sink2.events()]
+                     observe=Observe(trace=path2), **RUN_KWARGS, **GRID)
+        events2 = read_trace(path2)
+        names2 = [event["name"] for event in events2]
         assert names2 == ["snap.restore", "snap.fork"]
-        assert lint_events(sink2.events()) == []
+        assert lint_events(events2) == []
 
 
 class TestHybridAxis:

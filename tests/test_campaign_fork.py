@@ -20,6 +20,7 @@ from repro.harness.campaign import (
     run_campaign,
     warm_machine,
 )
+from repro.harness.observe import Observe
 from repro.harness.runner import tiny_revive_overrides
 from repro.machine.config import MachineConfig
 
@@ -30,12 +31,12 @@ RUN_KWARGS = dict(scale=0.05, n_procs=4, interval_ns=50_000,
 
 def forked_context(run_kwargs, warm_checkpoints, digest=False):
     machine = warm_machine("fft", "cp_parity", run_kwargs,
-                           warm_checkpoints, digest=digest)
+                           warm_checkpoints, observe=Observe(digest=digest))
     image = pickle.dumps(machine.snapshot(),
                          protocol=pickle.HIGHEST_PROTOCOL)
     return {"app": "fft", "variant": "cp_parity", "run_kwargs": run_kwargs,
             "warm_checkpoints": warm_checkpoints, "images": {None: image},
-            "digest": digest}
+            "observe": Observe(digest=digest)}
 
 
 def test_shared_decoded_image_stays_read_only():
@@ -101,7 +102,7 @@ def test_forked_digests_equal_cold_digests():
     window."""
     grid = dict(warm_checkpoints=2, lost_nodes=(1, None),
                 detect_fractions=(0.5,), hybrid_fractions=(0.0, 0.25),
-                serial=True, digest=True)
+                serial=True, observe=Observe(digest=True))
     forked = run_campaign("fft", "cp_parity", **RUN_KWARGS, **grid)
     cold = run_campaign("fft", "cp_parity", cold=True, **RUN_KWARGS, **grid)
     assert len(forked.outcomes) == 4

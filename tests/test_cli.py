@@ -184,6 +184,35 @@ class TestMonitoringCommands:
             "log_occupancy", "checkpoint_cadence", "traffic_rate",
             "recovery", "mem_traffic", "span_latency"}
 
+        # One path builds every run's instruments: a traced run writes
+        # the bytes of the same cell of a traced sweep.
+        flags = ["--nodes", "4", "--scale", "0.05", "--interval-us", "50"]
+        trace = tmp_path / "a.jsonl"
+        ledger = tmp_path / "a.ledger.json"
+        assert main(["run", "lu", *flags, "--trace", str(trace),
+                     "--ledger", str(ledger)]) == 0
+        sweep_dir = tmp_path / "sweep"
+        assert main(["sweep", "lu", "--variants", "cp_parity", "--serial",
+                     "--trace-dir", str(sweep_dir), *flags]) == 0
+        assert trace.read_bytes() == \
+            (sweep_dir / "lu__cp_parity.jsonl").read_bytes()
+        assert ledger.read_bytes() == \
+            (sweep_dir / "lu__cp_parity.ledger.json").read_bytes()
+
+        # ... and every entry point takes it as one argument.
+        import inspect
+
+        from repro.harness.campaign import run_campaign, warm_machine
+        from repro.harness.parallel import run_sweep
+        from repro.harness.runner import run_app
+
+        removed = {"tracer", "profiler", "profile", "digest", "trace_dir",
+                   "trace_categories"}
+        for entry in (run_app, run_sweep, run_campaign, warm_machine):
+            params = set(inspect.signature(entry).parameters)
+            assert "observe" in params, entry.__name__
+            assert not params & removed, entry.__name__
+
     def test_sweep_trace_dir_then_report_and_lint(self, tmp_path, capsys):
         trace_dir = str(tmp_path / "traces")
         rc = main(["sweep", "lu", "--variants", "baseline,cp_parity",

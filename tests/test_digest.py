@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.harness.observe import Observe
 from repro.harness.runner import build_machine, tiny_revive_overrides
 from repro.machine.config import MachineConfig
 from repro.obs.digest import (DIGEST_SCHEMA, GENESIS, DigestChain,
@@ -184,7 +185,8 @@ class TestRunInvariance:
         kwargs = dict(scale=SCALE, n_procs=NODES,
                       interval_ns=INTERVAL_NS,
                       machine_config=MachineConfig.tiny(NODES),
-                      digest=True, **tiny_revive_overrides(NODES))
+                      observe=Observe(digest=True),
+                      **tiny_revive_overrides(NODES))
         serial = run_sweep(["lu", "fft"], ["cp_parity"], serial=True,
                            **kwargs)
         parallel = run_sweep(["lu", "fft"], ["cp_parity"], workers=2,

@@ -73,9 +73,9 @@ def test_forked_campaign_replays_no_stream(replays):
 
 
 def test_restored_machine_replays_on_first_dispatch(image, replays):
-    reference = campaign._new_machine("fft", "cp_parity", EXHIBIT, False)
+    reference = campaign._new_machine("fft", "cp_parity", EXHIBIT)
     reference.run()
-    restored = campaign._new_machine("fft", "cp_parity", EXHIBIT, False)
+    restored = campaign._new_machine("fft", "cp_parity", EXHIBIT)
     restored.restore(pickle.loads(image))
     assert replays == []
     live = [proc.node_id for proc in restored.processors

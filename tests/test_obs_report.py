@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.faults import NodeLossFault
 from repro.core.recovery import RecoveryManager
+from repro.harness.observe import Observe
 from repro.harness.parallel import run_sweep
 from repro.machine.config import MachineConfig
 from repro.obs import (
@@ -145,7 +146,7 @@ class TestOverheadRowsFromLedgers:
     def traced_sweep(self, tmp_path_factory):
         trace_dir = str(tmp_path_factory.mktemp("sweep"))
         sweep = run_sweep(["lu"], ["baseline", "cp_parity"], serial=True,
-                          trace_dir=trace_dir, **SWEEP_KW)
+                          observe=Observe(trace=trace_dir), **SWEEP_KW)
         return sweep, trace_dir
 
     def test_rows_match_sweep_result_bit_for_bit(self, traced_sweep):
@@ -235,7 +236,7 @@ class TestLatencyReport:
             trace_dir = str(tmp_path_factory.mktemp(
                 f"sweep_{'serial' if serial else 'parallel'}"))
             run_sweep(["lu"], ["baseline", "cp_parity"], serial=serial,
-                      trace_dir=trace_dir, **SWEEP_KW)
+                      observe=Observe(trace=trace_dir), **SWEEP_KW)
             reports.append({
                 run["name"]: latency_report(run["events"])
                 for run in gather_runs([trace_dir])})

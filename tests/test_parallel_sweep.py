@@ -12,6 +12,7 @@ from dataclasses import asdict
 
 import pytest
 
+from repro.harness.observe import Observe
 from repro.harness.parallel import (
     SweepResult,
     default_workers,
@@ -70,8 +71,10 @@ class TestDeterminism:
 class TestTracedSweepDeterminism:
     """Traced sweeps: files and ledgers independent of worker count."""
 
-    def _traced(self, trace_dir, **overrides):
-        return _sweep(trace_dir=str(trace_dir), **overrides)
+    def _traced(self, trace_dir, trace_categories=None, **overrides):
+        return _sweep(observe=Observe(trace=str(trace_dir),
+                                      trace_categories=trace_categories),
+                      **overrides)
 
     def test_parallel_files_byte_identical_to_serial(self, tmp_path):
         serial_dir = tmp_path / "serial"
@@ -127,7 +130,7 @@ class TestTracedSweepDeterminism:
 
 
 class TestProfiledSweep:
-    """profile=True: host-time attribution rides a side channel and
+    """observe.profile: host-time attribution rides a side channel and
     never perturbs the sweep's deterministic outputs."""
 
     def _strip_profiles(self, sweep):
@@ -140,7 +143,7 @@ class TestProfiledSweep:
 
     def test_profiled_results_match_unprofiled(self):
         plain = _sweep(serial=True)
-        profiled = _sweep(serial=True, profile=True)
+        profiled = _sweep(serial=True, observe=Observe(profile=True))
         assert self._strip_profiles(profiled) == \
             self._strip_profiles(plain)
         assert plain.profile is None
@@ -149,7 +152,7 @@ class TestProfiledSweep:
         assert profiled.profile["total_wall_seconds"] > 0
 
     def test_parallel_profile_merges_all_jobs(self):
-        parallel = _sweep(workers=2, profile=True)
+        parallel = _sweep(workers=2, observe=Observe(profile=True))
         assert parallel.profile["jobs"] == len(parallel.job_order)
         # Merged maps come back key-sorted — deterministic for any
         # worker completion order.
@@ -161,9 +164,9 @@ class TestProfiledSweep:
 
         plain_dir = tmp_path / "plain"
         prof_dir = tmp_path / "profiled"
-        _sweep(serial=True, trace_dir=str(plain_dir))
-        profiled = _sweep(serial=True, profile=True,
-                          trace_dir=str(prof_dir))
+        _sweep(serial=True, observe=Observe(trace=str(plain_dir)))
+        profiled = _sweep(serial=True,
+                          observe=Observe(trace=str(prof_dir), profile=True))
         # Profiling must never leak wall clock into the ledger: the
         # merged manifest is byte-identical with and without it.  The
         # profile lands in its own side-channel file instead.

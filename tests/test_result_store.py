@@ -19,7 +19,6 @@ from repro.harness.store import (
     KIND_RUN,
     STORE_VERSION,
     ResultStore,
-    content_key,
     job_digest,
     manifest_bytes,
     store_key,
@@ -205,10 +204,6 @@ class TestKeys:
         monkeypatch.setattr("repro.harness.store.STORE_VERSION",
                             STORE_VERSION + 1)
         assert store_key(digest) != before
-
-    def test_content_key_is_input_addressed(self):
-        assert content_key(b"abc") == content_key(b"abc")
-        assert content_key(b"abc") != content_key(b"abd")
 
     def test_job_digest_matches_ledger(self):
         kwargs = {"scale": 0.1, "n_procs": 4}

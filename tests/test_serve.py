@@ -18,6 +18,7 @@ import json
 
 import pytest
 
+from repro.harness.observe import Observe
 from repro.harness.parallel import run_sweep
 from repro.harness.store import TRACE_ARTIFACT, manifest_bytes
 from repro.machine.config import MachineConfig
@@ -161,7 +162,7 @@ class TestCachePath:
                   n_procs=4, interval_ns=50_000,
                   machine_config=MachineConfig.tiny(4),
                   parity_group_size=3, log_bytes_per_node=64 * 1024,
-                  trace_dir=trace_dir)
+                  observe=Observe(trace=trace_dir))
         with open(f"{trace_dir}/lu__cp_parity.ledger.json", "rb") as handle:
             fresh_ledger = handle.read()
         with open(f"{trace_dir}/lu__cp_parity.jsonl", "rb") as handle:

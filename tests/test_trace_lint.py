@@ -115,19 +115,19 @@ class TestLintEvents:
 
     def test_live_campaign_trace_lints_clean(self, tmp_path):
         from repro.harness.campaign import run_campaign
+        from repro.harness.observe import Observe
         from repro.harness.runner import tiny_revive_overrides
         from repro.machine.config import MachineConfig
 
         path = str(tmp_path / "campaign.jsonl")
-        tracer = Tracer(JsonlFileSink(path))
         run_campaign("fft", "cp_parity", scale=0.05, n_procs=4,
                      interval_ns=50_000,
                      machine_config=MachineConfig.tiny(4),
                      warm_checkpoints=2, lost_nodes=(1,),
                      detect_fractions=(0.5,), serial=True,
-                     cache_dir=str(tmp_path / "store"), tracer=tracer,
+                     cache_dir=str(tmp_path / "store"),
+                     observe=Observe(trace=path),
                      **tiny_revive_overrides(4))
-        tracer.close()
         assert lint_file(path) == []
 
     def test_catalog_is_namespaced_and_enveloped(self):
