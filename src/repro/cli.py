@@ -8,9 +8,7 @@ Exposes the common workflows without writing Python::
     python -m repro sweep lu fft --workers 4  # parallel app x variant sweep
     python -m repro recover lu --lost-node 3  # fault injection + recovery
     python -m repro campaign lu --workers 4   # fork-based fault campaign
-    python -m repro trace lu --out out.jsonl  # traced node-loss recovery
-    python -m repro report sweep_traces/      # dashboard from traces/ledgers
-    python -m repro latency out.jsonl         # span latency percentiles
+    python -m repro report sweep_traces/      # dashboard + latency tables
     python -m repro export-trace out.jsonl    # Perfetto / chrome://tracing
     python -m repro trace-lint out.jsonl      # schema-validate a trace
     python -m repro table3                    # machine configuration
@@ -23,29 +21,37 @@ Exposes the common workflows without writing Python::
 
 All commands accept ``--scale`` (run length multiplier),
 ``--interval-us`` (checkpoint interval), and ``--nodes`` (shrink to a
-``MachineConfig.tiny(n)`` machine).  ``run``, ``recover`` and ``trace``
-accept ``--trace PATH`` (write the JSONL event trace documented in
+``MachineConfig.tiny(n)`` machine).  ``run`` and ``recover`` accept
+``--trace PATH`` (write the JSONL event trace documented in
 docs/OBSERVABILITY.md), ``--trace-categories`` (comma-separated
 filter), ``--profile`` (wall-clock profile of the simulator itself),
 and ``--ledger PATH`` (live run-health monitors + manifest).  Every
 command parses its observability flags into one
 :class:`~repro.harness.observe.Observe` value (:func:`_observe`) and
 hands it to the harness, which builds and closes the instruments.
-``trace`` is the full worked example: a traced run with a node-loss
+``recover --trace`` is the full worked example: a traced run with a
 fault whose recovery breakdown is recomputed *from the trace* and
 checked against the live ``RecoveryResult``.  ``sweep --trace-dir``
 collects per-job traces and ledgers, merged deterministically;
-``report`` renders the Figure 8/11/12 dashboard from such a directory
-(or any trace files) without re-running anything.  Exit status is
-nonzero when a recovery verification (or the trace cross-check)
-fails, so the CLI is scriptable in CI.
+``report`` renders the Figure 8/11/12 dashboard, the per-category
+event counts and the span latency tables from such a directory (or
+any trace files) without re-running anything.  Exit status is nonzero
+when a recovery verification (or the trace cross-check) fails, so the
+CLI is scriptable in CI.
+
+Removed commands and their replacements: ``repro trace`` is ``repro
+recover ... --trace PATH`` (same trace, same check, plus the parity
+check); ``repro latency`` is ``repro report`` (same tables; its
+``--json`` carries them under ``runs[i].latency``); ``repro submit
+--op latency`` is ``--op run`` (the same ``svc.latency`` event); and
+``repro profile --perfetto`` is ``--json``, ``--flame`` or ``--trace``.
 
 ``sweep`` and ``campaign`` accept a shared ``--cache-dir``: a
 content-addressed result store (docs/SERVING.md) that lets repeat
 configurations skip the simulation (or a campaign's warm-up) entirely,
 with a hits/misses log line.  ``serve`` runs the async simulation
 service over the same store; ``submit`` streams a
-run/latency/sweep/report request to it.
+run/sweep/report/campaign request to it.
 """
 
 from __future__ import annotations
@@ -61,11 +67,7 @@ from repro.harness.campaign import (
     warm_machine,
 )
 from repro.harness.observe import Observe
-from repro.harness.reporting import (
-    format_table,
-    profile_table,
-    trace_summary_table,
-)
+from repro.harness.reporting import format_table, profile_table
 from repro.harness.runner import (
     DEFAULT_INTERVAL_NS,
     VARIANT_LABELS,
@@ -189,7 +191,7 @@ def make_parser() -> argparse.ArgumentParser:
     srv_p = sub.add_parser(
         "serve",
         help="run the async simulation service: accepts "
-             "run/latency/sweep/report requests over newline-delimited "
+             "run/sweep/report/campaign requests over newline-delimited "
              "JSON, dedupes them against the content-addressed result "
              "store, and streams progress events back "
              "(docs/SERVING.md)")
@@ -210,14 +212,14 @@ def make_parser() -> argparse.ArgumentParser:
         help="submit a request to a running 'repro serve' instance and "
              "stream its progress events")
     sbm_p.add_argument("apps", nargs="+", metavar="APP",
-                       help="application(s); run/latency take exactly one")
-    sbm_p.add_argument("--op", choices=("run", "latency", "sweep",
-                                        "report", "campaign"),
+                       help="application(s); run/campaign take exactly one")
+    sbm_p.add_argument("--op", choices=("run", "sweep", "report",
+                                        "campaign"),
                        default="run",
                        help="request operation (default run)")
     sbm_p.add_argument("--variants", default=None, metavar="V1,V2",
                        help="comma-separated variants (default: "
-                            "cp_parity for run/latency, "
+                            "cp_parity for run/campaign, "
                             "baseline,cp_parity for sweep/report)")
     sbm_p.add_argument("--scale", type=float, default=0.1,
                        help="run-length multiplier (default 0.1)")
@@ -241,7 +243,7 @@ def make_parser() -> argparse.ArgumentParser:
         help="host-time attribution of one run: per-component self vs "
              "cumulative seconds, per-actor dispatch time with the "
              "batch-vs-protocol-fallout tier split, and flamegraph / "
-             "Perfetto / prof.* trace exports (docs/OBSERVABILITY.md)")
+             "prof.* trace exports (docs/OBSERVABILITY.md)")
     _common(prf_p, default_scale=0.25, default_interval_us=50.0,
             default_nodes=4)
     prf_p.add_argument("--variant", choices=VARIANTS, default="cp_parity")
@@ -255,9 +257,6 @@ def make_parser() -> argparse.ArgumentParser:
     prf_p.add_argument("--flame", metavar="PATH", default=None,
                        help="write collapsed-stack lines for "
                             "flamegraph.pl / speedscope")
-    prf_p.add_argument("--perfetto", metavar="PATH", default=None,
-                       help="write Chrome Trace counter tracks for "
-                            "ui.perfetto.dev")
     prf_p.add_argument("--trace", metavar="PATH", default=None,
                        help="write the profile as prof.* JSONL events "
                             "(passes repro trace-lint)")
@@ -279,33 +278,25 @@ def make_parser() -> argparse.ArgumentParser:
     sts_p.add_argument("--json", action="store_true",
                        help="print the raw event stream as JSON lines")
 
-    rec_p = sub.add_parser("recover",
-                           help="inject a fault and verify recovery")
+    rec_p = sub.add_parser(
+        "recover",
+        help="inject a fault and verify recovery; with --trace, also "
+             "recompute the recovery breakdown from the JSONL trace and "
+             "check it against the live RecoveryResult "
+             "(docs/OBSERVABILITY.md)")
     _common(rec_p)
     _observability(rec_p)
     rec_p.add_argument("--lost-node", type=int, default=None,
                        help="node to lose permanently "
                             "(omit for a transient system-wide fault)")
 
-    trc_p = sub.add_parser(
-        "trace",
-        help="traced node-loss recovery on a tiny machine; the recovery "
-             "breakdown is recomputed from the JSONL trace and checked "
-             "against the live RecoveryResult (docs/OBSERVABILITY.md)")
-    _common(trc_p, default_scale=0.5,
-            default_interval_us=50.0, default_nodes=4)
-    _observability(trc_p)
-    trc_p.add_argument("--out", default="trace.jsonl",
-                       help="JSONL trace output path (default trace.jsonl); "
-                            "--trace overrides it")
-    trc_p.add_argument("--lost-node", type=int, default=1,
-                       help="node to lose permanently (default 1)")
-
     rep_p = sub.add_parser(
         "report",
-        help="render a run-health dashboard (Figures 8/11/12) from "
-             "JSONL traces and ledger manifests alone — pass trace "
-             "files or a sweep --trace-dir directory")
+        help="render a run-health dashboard (Figures 8/11/12, event "
+             "counts per category, span latency percentiles and "
+             "critical-path attribution) from JSONL traces and ledger "
+             "manifests alone — pass trace files or a sweep --trace-dir "
+             "directory")
     rep_p.add_argument("paths", nargs="+", metavar="PATH",
                        help="trace files (*.jsonl) or directories of "
                             "traces + ledgers (e.g. a sweep --trace-dir)")
@@ -321,25 +312,13 @@ def make_parser() -> argparse.ArgumentParser:
     lint_p.add_argument("paths", nargs="+", metavar="PATH",
                         help="JSONL trace files to validate")
 
-    lat_p = sub.add_parser(
-        "latency",
-        help="per-class transaction latency percentiles "
-             "(p50/p90/p99/p999) and critical-path attribution, "
-             "recomputed from span events in JSONL traces alone")
-    lat_p.add_argument("paths", nargs="+", metavar="PATH",
-                       help="trace files (*.jsonl) or directories of "
-                            "traces (e.g. a sweep --trace-dir)")
-    lat_p.add_argument("--json", metavar="PATH", default=None,
-                       help="also dump the latency report as JSON")
-
     exp_p = sub.add_parser(
         "export-trace",
         help="convert a JSONL trace into Chrome Trace Event JSON for "
              "Perfetto (ui.perfetto.dev) or chrome://tracing — one "
              "track per node, nested slices per span segment")
     exp_p.add_argument("trace", metavar="TRACE",
-                       help="JSONL trace file (rotated segments are "
-                            "followed)")
+                       help="JSONL trace file")
     exp_p.add_argument("--out", metavar="PATH", default=None,
                        help="output path (default: TRACE with a "
                             ".chrome.json suffix)")
@@ -447,12 +426,11 @@ def _trace_categories(args) -> Optional[List[str]]:
 def _observe(args) -> Observe:
     """The command's observability flags as one :class:`Observe`.
 
-    ``--trace`` (``trace --out``, ``sweep --trace-dir``) is the trace
-    path, ``--ledger`` the ledger path; ``--digest`` takes a file
-    path on ``run`` and is a flag on ``sweep``.
+    ``--trace`` (``sweep --trace-dir``) is the trace path,
+    ``--ledger`` the ledger path; ``--digest`` takes a file path on
+    ``run`` and is a flag on ``sweep``.
     """
-    trace = (getattr(args, "trace", None) or getattr(args, "out", None)
-             or getattr(args, "trace_dir", None))
+    trace = getattr(args, "trace", None) or getattr(args, "trace_dir", None)
     return Observe(trace=trace, trace_categories=_trace_categories(args),
                    ledger=getattr(args, "ledger", None),
                    profile=getattr(args, "profile", False),
@@ -706,43 +684,37 @@ def cmd_campaign(args) -> int:
     return 0
 
 
-def _worst_case_recovery(args):
-    """Figure 12's worst case on the ``--nodes`` machine.
+def cmd_recover(args) -> int:
+    """``repro recover``: fault injection + verified recovery.
 
-    Warms past the second commit, loses ``--lost-node`` (or takes a
-    transient fault) 0.8 of an interval later, and recovers to
-    checkpoint 1, observed as the command's flags say; the trace and
-    ledger are complete when this returns.  Returns
-    ``(machine, result)``, or None when the run is too short for two
-    checkpoints.
+    Figure 12's worst case on the ``--nodes`` machine: warms past the
+    second commit, loses ``--lost-node`` (or takes a transient fault)
+    0.8 of an interval later, and recovers to checkpoint 1.  Memory
+    must then match the checkpoint bit-exactly and parity must be
+    consistent; with ``--trace``, the recovery breakdown recomputed
+    from the trace alone must also equal the live ``RecoveryResult``
+    (:func:`_check_trace`).  Exit status 1 on any failure, 2 when the
+    run is too short for two checkpoints.
     """
     interval = int(args.interval_us * 1000)
     machine_config, n_procs = _machine_setup(args)
     run_kwargs = dict(scale=args.scale, n_procs=n_procs,
                       interval_ns=interval, machine_config=machine_config,
                       **tiny_revive_overrides(args.nodes))
+    observe = _observe(args)
     try:
         machine = warm_machine(args.app, "cp_parity",
                                dict(run_kwargs, debug_snapshots=True), 2,
-                               observe=_observe(args))
+                               observe=observe)
     except WarmupTooShort:
         print("run too short for two checkpoints; raise --scale or "
               "lower --interval-us", file=sys.stderr)
-        return None
+        return 2
     _detect, result = _fault_and_recover(
         machine, {"lost_node": args.lost_node, "detect_fraction": 0.8}, 2,
         interval)
     machine.instruments.close(
         run_args=dict(run_kwargs, lost_node=args.lost_node))
-    return machine, result
-
-
-def cmd_recover(args) -> int:
-    """``repro recover``: fault injection + verified recovery."""
-    recovered = _worst_case_recovery(args)
-    if recovered is None:
-        return 2
-    machine, result = recovered
     mismatches = machine.verify_against_snapshot(result.target_epoch)
     broken = machine.revive.parity.check_all_parity()
     print(format_table(
@@ -755,66 +727,52 @@ def cmd_recover(args) -> int:
           f"{result.phase4_background_ns / 1e3:.0f}"]],
         title=f"{args.app}: recovery "
               f"({result.entries_undone} entries undone)"))
-    _print_observed(machine.instruments.observe,
-                    profile_summary(machine.profiler))
+    trace_ok = (_check_trace(args.app, observe, result)
+                if observe.trace is not None else None)
+    _print_observed(observe, profile_summary(machine.profiler))
     if mismatches or broken:
         print(f"VERIFICATION FAILED: {len(mismatches)} mismatching lines, "
               f"{len(broken)} broken stripes", file=sys.stderr)
         return 1
-    print("verification: memory bit-exact, parity consistent")
+    if trace_ok is False:
+        print("TRACE MISMATCH: breakdown recomputed from the trace "
+              "disagrees with RecoveryResult", file=sys.stderr)
+        return 1
+    print("verification: memory bit-exact, parity consistent"
+          + (", trace breakdown matches RecoveryResult" if trace_ok
+             else ""))
     return 0
 
 
-def cmd_trace(args) -> int:
-    """``repro trace``: the documented trace-a-recovery worked example.
-
-    Runs the workload on a tiny ``--nodes`` machine with tracing on,
-    lets two checkpoints commit, loses ``--lost-node``, recovers to
-    epoch 1, then *recomputes* the recovery phase breakdown from the
-    JSONL trace alone and cross-checks it against the live
-    ``RecoveryResult`` — the same procedure docs/OBSERVABILITY.md
-    walks through.  Exit status 1 on any mismatch.
-    """
-    recovered = _worst_case_recovery(args)
-    if recovered is None:
-        return 2
-    machine, result = recovered
-    mismatches = machine.verify_against_snapshot(result.target_epoch)
-    observe = machine.instruments.observe
-    events = read_trace(observe.trace)
-    print(trace_summary_table(events))
-    print()
-
-    # The cross-check: Figure 12's components, once from the live
-    # RecoveryResult and once recomputed from the JSONL alone.
-    from_trace = recovery_breakdown(events)
+def _check_trace(app: str, observe: Observe, result) -> Optional[bool]:
+    """Figure 12's components, once from the live ``RecoveryResult``
+    and once recomputed from the trace alone; prints both and returns
+    whether they agree.  None when ``--trace-categories`` left out the
+    ``ckpt`` or ``recovery`` events the recomputation needs."""
+    left_out = [cat for cat in ("ckpt", "recovery")
+                if observe.trace_categories is not None
+                and cat not in observe.trace_categories]
+    if left_out:
+        print(f"trace breakdown check skipped: --trace-categories "
+              f"leaves out {', '.join(left_out)}")
+        return None
+    from_trace = recovery_breakdown(read_trace(observe.trace))
     live = dict(result.breakdown(),
                 background_repair=result.phase4_background_ns)
     rows = []
     all_match = True
     for phase, live_ns in live.items():
-        traced_ns = from_trace.get(phase)
-        match = traced_ns == live_ns
+        match = from_trace[phase] == live_ns
         all_match &= match
         rows.append([phase, f"{live_ns / 1e3:.1f}",
-                     f"{traced_ns / 1e3:.1f}" if traced_ns is not None
-                     else "—", "ok" if match else "MISMATCH"])
+                     f"{from_trace[phase] / 1e3:.1f}",
+                     "ok" if match else "MISMATCH"])
+    print()
     print(format_table(
         ["Phase", "RecoveryResult (us)", "From trace (us)", ""],
-        rows, title=f"{args.app}: recovery breakdown, live vs "
+        rows, title=f"{app}: recovery breakdown, live vs "
                     f"recomputed from {observe.trace}"))
-    _print_observed(observe, profile_summary(machine.profiler))
-    if mismatches:
-        print(f"VERIFICATION FAILED: {len(mismatches)} mismatching lines",
-              file=sys.stderr)
-        return 1
-    if not all_match:
-        print("TRACE MISMATCH: breakdown recomputed from the trace "
-              "disagrees with RecoveryResult", file=sys.stderr)
-        return 1
-    print("verification: memory bit-exact, trace breakdown matches "
-          "RecoveryResult")
-    return 0
+    return all_match
 
 
 def cmd_report(args) -> int:
@@ -831,7 +789,7 @@ def cmd_report(args) -> int:
     try:
         runs = gather_runs(args.paths)
     except FileNotFoundError as exc:
-        raise SystemExit(f"no trace at {exc}")
+        raise SystemExit(f"no trace at {exc.filename}")
     if not runs:
         raise SystemExit("no traces found under "
                          + ", ".join(args.paths))
@@ -861,41 +819,6 @@ def cmd_trace_lint(args) -> int:
             events = read_trace(path)
             print(f"{path}: {len(events)} events, schema-clean")
     return 1 if failures else 0
-
-
-def cmd_latency(args) -> int:
-    """``repro latency``: percentile + attribution tables from spans.
-
-    Traces come from any command run with ``--trace`` (or a sweep's
-    ``--trace-dir``) under schema v2 with the ``span`` category
-    enabled.  The report is recomputed from the events alone, and for
-    a deterministic sweep it is byte-identical whether the traces were
-    produced serially or in parallel.
-    """
-    from repro.obs.analysis import latency_report
-    from repro.obs.report import gather_runs, render_latency
-
-    try:
-        runs = gather_runs(args.paths)
-    except FileNotFoundError as exc:
-        raise SystemExit(f"no trace at {exc}")
-    if not runs:
-        raise SystemExit("no traces found under " + ", ".join(args.paths))
-    reports = {}
-    for run in runs:
-        latency = reports[run["name"]] = latency_report(run["events"])
-        if len(runs) > 1:
-            print(f"== {run['name']} ==")
-        print(render_latency(latency))
-        if len(runs) > 1:
-            print()
-    if args.json:
-        import json
-
-        with open(args.json, "w") as fh:
-            json.dump(reports, fh, indent=2, sort_keys=True)
-        print(f"latency report: {args.json}")
-    return 0
 
 
 def cmd_export_trace(args) -> int:
@@ -933,7 +856,6 @@ def cmd_profile(args) -> int:
     import json as json_mod
 
     from repro.harness.reporting import actor_table
-    from repro.obs import write_profile_counter_trace
     from repro.obs.telemetry import (
         actor_coverage,
         emit_profile_events,
@@ -970,9 +892,6 @@ def cmd_profile(args) -> int:
         with open(args.flame, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
         print(f"flamegraph: {len(lines)} stacks -> {args.flame}")
-    if args.perfetto:
-        entries = write_profile_counter_trace(profile, args.perfetto)
-        print(f"perfetto: {entries} counter entries -> {args.perfetto}")
     if args.trace:
         from repro.obs.tracer import JsonlFileSink, Tracer
 
@@ -1107,7 +1026,7 @@ def cmd_serve(args) -> int:
 
     Binds a JSONL TCP server on ``--host:--port`` (``--port 0`` picks
     a free port; the banner line reports the bound address) and serves
-    run/latency/sweep/report requests, deduped against the result
+    run/sweep/report/campaign requests, deduped against the result
     store at ``--cache-dir``.  Runs until interrupted (SIGINT or
     SIGTERM); either way the worker processes are shut down first.
     """
@@ -1163,7 +1082,7 @@ def cmd_submit(args) -> int:
     request = {"op": args.op, "nodes": args.nodes, "scale": args.scale,
                "interval_us": args.interval_us,
                "no_cache": args.no_cache}
-    if args.op in ("run", "latency", "campaign"):
+    if args.op in ("run", "campaign"):
         if len(args.apps) != 1:
             raise SystemExit(f"op {args.op!r} takes exactly one app")
         request["app"] = args.apps[0]
@@ -1277,14 +1196,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return cmd_sweep(args)
     if args.command == "campaign":
         return cmd_campaign(args)
-    if args.command == "trace":
-        return cmd_trace(args)
     if args.command == "report":
         return cmd_report(args)
     if args.command == "trace-lint":
         return cmd_trace_lint(args)
-    if args.command == "latency":
-        return cmd_latency(args)
     if args.command == "export-trace":
         return cmd_export_trace(args)
     if args.command == "serve":

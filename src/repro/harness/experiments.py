@@ -53,8 +53,8 @@ def _cached_run_app(cache, app: str, variant: str, **kwargs):
 
     key = result_store.store_key(
         result_store.job_digest(app, variant, kwargs))
-    entry = cache.get(key)
-    if entry is not None and entry.kind == result_store.KIND_RUN:
+    entry = result_store.run_entry(cache, key, traced=False)
+    if entry is not None:
         return result_store.result_from_payload(entry.payload)
     result = run_app(app, variant, **kwargs)
     cache.put(key, result_store.KIND_RUN, result_store.run_payload(result))

@@ -110,15 +110,20 @@ class Instruments:
         return manifest
 
 
-def run_monitors(variant: str, run_kwargs: Dict) -> List:
-    """The standard monitor set for one run of ``variant``; the log
-    monitor's capacity is ``log_bytes_per_node`` (none for the
-    baseline, which keeps no log)."""
+def run_monitors(variant: Optional[str], run_kwargs: Dict) -> List:
+    """The standard monitor set for one run of ``variant``, sized from
+    its ``run_app`` kwargs (or its ledger's ``run_args``): the
+    checkpoint cadence from ``interval_ns`` and the log capacity from
+    ``log_bytes_per_node`` (none for the baseline, which keeps no log,
+    or for a run of unknown variant)."""
     from repro.harness.runner import BENCH_LOG_BYTES
-    from repro.obs.monitor import default_monitors
+    from repro.obs import monitor
 
     capacity = None
-    if variant != "baseline":
+    if variant not in (None, "baseline"):
         capacity = run_kwargs.get("log_bytes_per_node", BENCH_LOG_BYTES)
-    return default_monitors(interval_ns=run_kwargs.get("interval_ns"),
-                            log_capacity_bytes=capacity)
+    return [monitor.LogOccupancyMonitor(capacity_bytes=capacity),
+            monitor.CheckpointCadenceMonitor(
+                interval_ns=run_kwargs.get("interval_ns")),
+            monitor.TrafficRateMonitor(), monitor.RecoveryMonitor(),
+            monitor.MemTrafficMonitor(), monitor.SpanLatencyMonitor()]

@@ -158,17 +158,6 @@ def actor_table(profile: "dict") -> str:
         title="Per-actor host-time attribution")
 
 
-def trace_summary_table(events: "list[dict]") -> str:
-    """Per-category event counts of a loaded trace (see ``read_trace``)."""
-    from repro.obs.analysis import category_counts
-
-    counts = category_counts(events)
-    rows = [[cat, n] for cat, n in counts.items()]
-    rows.append(["total", sum(counts.values())])
-    return format_table(["Category", "Events"], rows,
-                        title="Trace events by category")
-
-
 def _cell(value) -> str:
     if isinstance(value, float):
         return f"{value:.3f}"

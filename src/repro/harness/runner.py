@@ -182,6 +182,10 @@ def run_app(app: str, variant: str = "baseline",
     """
     run_kwargs = dict(scale=scale, n_procs=n_procs, interval_ns=interval_ns,
                       machine_config=machine_config, **revive_overrides)
+    if until is not None:
+        # A truncated run is another configuration; only it records
+        # ``until``, so a full run's config digest is independent of it.
+        run_kwargs["until"] = until
     instruments = Instruments(observe, app, variant, run_kwargs)
     machine = build_machine(variant, machine_config, interval_ns,
                             tracer=instruments.tracer,

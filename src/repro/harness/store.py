@@ -139,14 +139,16 @@ def run_entry(cache: Optional[ResultStore], key: str,
               traced: bool) -> Optional[StoreEntry]:
     """The stored run under ``key``, or None when the cell must run.
 
-    A traced caller needs the entry's manifest and trace as well as its
-    result: an entry stored by an untraced run is a miss for it, and
-    the re-run upgrades the entry in place.
+    Only a :data:`KIND_RUN` entry is a stored run.  A traced caller
+    needs the entry's manifest and trace as well as its result: an
+    entry stored by an untraced run is a miss for it, and the re-run
+    upgrades the entry in place.
     """
     entry = cache.get(key) if cache is not None else None
-    if entry is not None and traced and (
-            entry.payload.get("manifest") is None
-            or not entry.has_artifact(TRACE_ARTIFACT)):
+    if entry is None or entry.kind != KIND_RUN:
+        return None
+    if traced and (entry.payload.get("manifest") is None
+                   or not entry.has_artifact(TRACE_ARTIFACT)):
         return None
     return entry
 

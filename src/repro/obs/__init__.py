@@ -20,8 +20,9 @@ Built on the tracer's event stream (all in ``docs/OBSERVABILITY.md``):
   :class:`RunLedger` manifest stamping each run.
 * :class:`SpanRecorder` / :class:`Span` — causal per-transaction spans
   with ordered child segments whose durations sum exactly to the span;
-  :func:`latency_report` turns them into percentile + attribution
-  tables and :func:`chrome_trace` exports them for Perfetto.
+  :func:`latency_report` adds their critical-path attribution to the
+  span-latency monitor's percentiles and :func:`chrome_trace` exports
+  them for Perfetto.
 * :mod:`repro.obs.report` — the ``repro report`` dashboard: Figures 8,
   11, and 12 plus the span latency tables, recomputed from traces +
   ledgers alone.
@@ -43,7 +44,8 @@ Quick start::
     ...
     tracer.close()
 
-or, without writing Python: ``python -m repro trace lu --out out.jsonl``.
+or, without writing Python: ``python -m repro recover lu --nodes 4
+--scale 0.5 --interval-us 50 --lost-node 1 --trace out.jsonl``.
 """
 
 from repro.obs.analysis import (
@@ -56,9 +58,7 @@ from repro.obs.analysis import (
 )
 from repro.obs.export import (
     chrome_trace,
-    profile_counter_trace,
     write_chrome_trace,
-    write_profile_counter_trace,
 )
 from repro.obs.digest import (
     DIGEST_SCHEMA,
@@ -93,8 +93,6 @@ from repro.obs.monitor import (
     RunLedger,
     SpanLatencyMonitor,
     TrafficRateMonitor,
-    attach_monitors,
-    default_monitors,
     read_ledger,
 )
 from repro.obs.profiling import Profiler
@@ -155,8 +153,6 @@ __all__ = [
     "RecoveryMonitor",
     "MemTrafficMonitor",
     "RunLedger",
-    "attach_monitors",
-    "default_monitors",
     "read_ledger",
     "lint_events",
     "lint_file",
@@ -168,8 +164,6 @@ __all__ = [
     "latency_report",
     "chrome_trace",
     "write_chrome_trace",
-    "profile_counter_trace",
-    "write_profile_counter_trace",
     "PROFILE_SCHEMA",
     "profile_snapshot",
     "merge_profiles",

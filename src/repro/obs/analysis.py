@@ -4,47 +4,24 @@ The JSONL trace is the ground truth these helpers consume — nothing
 here peeks at live simulator state.  :func:`recovery_breakdown`
 reconstructs the Figure 12 recovery-time components purely from
 ``recovery.*`` phase-boundary events plus the ``ckpt.commit`` event of
-the recovery's target epoch, and is the function the worked example in
-``docs/OBSERVABILITY.md`` (and the acceptance test) checks against
-:class:`repro.core.recovery.RecoveryResult`.  :func:`latency_report`
-does the same for schema-v2 span events: per-class latency percentiles
-and the critical-path attribution table, recomputed from the trace
-alone and cross-checked against the live ``lat.*`` histograms in
-``tests/test_obs_spans.py``.
+the recovery's target epoch, and is the function ``repro recover
+--trace`` (the worked example in ``docs/OBSERVABILITY.md``) checks
+against :class:`repro.core.recovery.RecoveryResult`.
+:func:`latency_report` adds the critical-path attribution tables of
+schema-v2 span events to a span-latency monitor's percentiles.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from typing import Dict, Iterable, List
-
-from repro.obs.metrics import LogHistogram
 
 
 def read_trace(path: str) -> List[Dict]:
-    """Load every event of a JSONL trace, following rotated segments.
-
-    A trace written through a rotating :class:`~repro.obs.tracer.
-    JsonlFileSink` spans ``path``, ``path.1``, ``path.2``, ...; all
-    segments are concatenated in order.  Events come back as plain
-    dicts, oldest first.
-    """
-    events: List[Dict] = []
-    segment = 0
-    current = path
-    while os.path.exists(current):
-        with open(current, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    events.append(json.loads(line))
-        segment += 1
-        current = f"{path}.{segment}"
-    if not events and not os.path.exists(path):
-        raise FileNotFoundError(path)
-    return events
+    """Load every event of a JSONL trace as plain dicts, oldest first."""
+    with open(path, "r", encoding="utf-8") as handle:
+        return [json.loads(line) for line in handle if line.strip()]
 
 
 def category_counts(events: Iterable[Dict]) -> Dict[str, int]:
@@ -88,14 +65,16 @@ def steady_state_span_ends(events: Iterable[Dict]) -> List[Dict]:
     return span_ends(events[start:])
 
 
-def latency_report(events: Iterable[Dict]) -> Dict[str, Dict]:
+def latency_report(events: Iterable[Dict],
+                   summaries: Dict[str, Dict]) -> Dict[str, Dict]:
     """Per-class latency percentiles + critical-path attribution.
 
-    Recomputed purely from ``span.end`` events.  For every span class
-    present the report carries the :class:`LogHistogram` summary
+    ``summaries`` are the per-class :class:`LogHistogram` summaries
     (count / mean / max / p50 / p90 / p99 / p999, upper-edge
-    convention) plus two attribution tables mapping segment kinds to
-    their share of span time:
+    convention) of a :class:`~repro.obs.monitor.SpanLatencyMonitor`
+    that saw ``events``; this adds, from the ``span.end`` events, two
+    attribution tables mapping segment kinds to their share of span
+    time:
 
     * ``attribution`` — over *all* spans of the class, and
     * ``tail_attribution`` — over the slowest 1% (at least one span),
@@ -123,14 +102,10 @@ def latency_report(events: Iterable[Dict]) -> Dict[str, Dict]:
 
     classes: Dict[str, Dict] = {}
     for cls, spans in sorted(by_class.items()):
-        histogram = LogHistogram("lat." + cls)
-        for span in spans:
-            histogram.record(span["dur_ns"])
         tail_n = max(1, math.ceil(len(spans) / 100))
         tail = sorted(spans,
                       key=lambda s: (-s["dur_ns"], s["txn"]))[:tail_n]
-        classes[cls] = dict(histogram.summary(),
-                            attribution=_shares(spans),
+        classes[cls] = dict(summaries[cls], attribution=_shares(spans),
                             tail_attribution=_shares(tail))
     return {"classes": classes,
             "total_spans": sum(len(s) for s in by_class.values())}

@@ -104,58 +104,3 @@ def write_chrome_trace(events: Iterable[Dict], path: str,
         json.dump(trace, handle, indent=None, separators=(",", ":"))
         handle.write("\n")
     return len(trace["traceEvents"])
-
-
-def profile_counter_trace(profile: Dict) -> Dict:
-    """Chrome Trace counter ("C") tracks for a host-time profile.
-
-    Renders a :func:`repro.obs.telemetry.profile_snapshot` as per-node
-    counter tracks Perfetto draws as bar charts: dispatch seconds,
-    activations, and the batch-vs-protocol-fallout split
-    (docs/PERFORMANCE.md §1b) per node, plus one machine-wide track
-    per timed component.  Counters are point-in-time (host wall clock
-    has no simulated timeline), so every sample sits at ``ts`` 0.
-    """
-    trace_events: List[Dict] = []
-    pids = set()
-    fallout = profile.get("fallout", {})
-    for actor_id, info in profile.get("actors", {}).items():
-        pid = info["node"] if isinstance(info["node"], int) \
-            else MACHINE_PID
-        pids.add(pid)
-        drop = fallout.get(str(info["node"]), {})
-        drop_s = drop.get("seconds", 0.0)
-        trace_events.append({
-            "ph": "C", "name": f"host seconds (actor {actor_id})",
-            "pid": pid, "tid": 0, "ts": 0,
-            "args": {"batch": info["seconds"] - drop_s,
-                     "protocol_fallout": drop_s},
-        })
-        trace_events.append({
-            "ph": "C", "name": f"activations (actor {actor_id})",
-            "pid": pid, "tid": 0, "ts": 0,
-            "args": {"activations": info["activations"]},
-        })
-    pids.add(MACHINE_PID)
-    for name, self_s, cum_s, _calls in profile.get("components", ()):
-        trace_events.append({
-            "ph": "C", "name": f"component {name}",
-            "pid": MACHINE_PID, "tid": 0, "ts": 0,
-            "args": {"self_seconds": self_s, "cum_seconds": cum_s},
-        })
-    metadata = [{
-        "ph": "M", "name": "process_name", "pid": pid, "tid": 0,
-        "args": {"name": "machine" if pid == MACHINE_PID
-                 else f"node {pid}"},
-    } for pid in sorted(pids)]
-    return {"traceEvents": metadata + trace_events,
-            "displayTimeUnit": "ns"}
-
-
-def write_profile_counter_trace(profile: Dict, path: str) -> int:
-    """Write :func:`profile_counter_trace` JSON; returns the entry count."""
-    trace = profile_counter_trace(profile)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(trace, handle, indent=None, separators=(",", ":"))
-        handle.write("\n")
-    return len(trace["traceEvents"])

@@ -35,13 +35,14 @@ monitor verdicts.  Ledgers are deliberately free of wall-clock values
 so a re-run (serial or parallel) produces a byte-identical manifest —
 the property the sweep determinism test pins.
 
-Quick start::
+Quick start (:func:`repro.harness.observe.run_monitors` is the
+standard set a run's ledger and ``repro report`` both use)::
 
+    from repro.harness.observe import run_monitors
     from repro.obs import JsonlFileSink, MonitorSuite, Tracer
-    from repro.obs.monitor import default_monitors
 
-    suite = MonitorSuite(default_monitors(interval_ns=250_000,
-                                          log_capacity_bytes=2 << 20),
+    suite = MonitorSuite(run_monitors("cp_parity",
+                                      {"interval_ns": 250_000}),
                          sink=JsonlFileSink("run.jsonl"))
     tracer = Tracer(suite)
     ... run the machine ...
@@ -117,12 +118,6 @@ class MonitorSuite:
         if self.sink is not None:
             self.sink.close()
 
-    def paths(self) -> List[str]:
-        """Delegate segment listing when the wrapped sink rotates."""
-        if self.sink is not None and hasattr(self.sink, "paths"):
-            return self.sink.paths()
-        return []
-
     def verdicts(self) -> Dict[str, Dict]:
         """``{monitor name: verdict dict}`` for every monitor."""
         return {m.name: m.verdict() for m in self.monitors}
@@ -131,19 +126,6 @@ class MonitorSuite:
     def healthy(self) -> bool:
         """True when every monitor reports healthy."""
         return all(m.healthy for m in self.monitors)
-
-
-def attach_monitors(tracer: Tracer, monitors) -> MonitorSuite:
-    """Interpose a :class:`MonitorSuite` on an existing tracer.
-
-    The tracer's current sink (possibly ``None``) becomes the suite's
-    wrapped sink, and the tracer is (re-)enabled — monitors are a sink,
-    so a sinkless tracer becomes emit-capable once one is attached.
-    """
-    suite = MonitorSuite(monitors, sink=tracer.sink)
-    tracer.sink = suite
-    tracer.enabled = True
-    return suite
 
 
 class LogOccupancyMonitor(Monitor):
@@ -548,21 +530,6 @@ class CacheHealthMonitor(Monitor):
             "corrupt_keys": list(self.corrupt_keys),
             "min_hit_rate": self.min_hit_rate,
         }
-
-
-def default_monitors(interval_ns: Optional[int] = None,
-                     log_capacity_bytes: Optional[int] = None,
-                     span_high_water_ns: Optional[Dict[str, int]] = None,
-                     ) -> List[Monitor]:
-    """The standard monitor set for one run, sized from its config."""
-    return [
-        LogOccupancyMonitor(capacity_bytes=log_capacity_bytes),
-        CheckpointCadenceMonitor(interval_ns=interval_ns),
-        TrafficRateMonitor(),
-        RecoveryMonitor(),
-        MemTrafficMonitor(),
-        SpanLatencyMonitor(high_water_ns=span_high_water_ns),
-    ]
 
 
 def _canonical(obj):

@@ -8,20 +8,23 @@ exhibits from them:
   ``execution_time_ns`` stamped into each run's ledger
   (:func:`overhead_rows_from_ledgers` matches
   ``SweepResult.overhead_rows`` bit-for-bit).
-* **Figure 11** — the log-occupancy curve and per-node high-water
-  marks from ``log.append``/``log.reclaim`` events
-  (:func:`log_occupancy`, warmup-aware like the simulator's own
-  ``max_bytes_used`` statistic).
+* **Figure 11** — the log-occupancy curve from ``log.append``/
+  ``log.reclaim`` events (:func:`log_occupancy`) and the per-node
+  high-water marks of the log-occupancy monitor (warmup-aware like the
+  simulator's own ``max_bytes_used`` statistic).
 * **Figure 12** — the recovery-phase breakdown via
   :func:`repro.obs.analysis.recovery_breakdown`.
-* **Transaction latency** — per-class p50/p90/p99/p999 percentiles and
-  critical-path attribution from schema-v2 span events
-  (:func:`repro.obs.analysis.latency_report`), cross-checked against
-  live ``lat.*`` histograms in ``tests/test_obs_report.py``.
+* **Transaction latency** — the span-latency monitor's per-class
+  p50/p90/p99/p999 percentiles plus the critical-path attribution of
+  schema-v2 span events (:func:`repro.obs.analysis.latency_report`),
+  cross-checked against live ``lat.*`` histograms in
+  ``tests/test_obs_report.py``.
+* **Event counts** — events per category.
 
 Stream statistics are computed by *replaying* the trace through the
-same monitors a live run uses (:mod:`repro.obs.monitor`), so on-line
-and post-mortem numbers can never drift apart.
+monitors the live run used (:func:`repro.harness.observe.run_monitors`,
+sized from the run's ledger), so on-line and post-mortem numbers can
+never drift apart.
 
 Entry points: :func:`gather_runs` resolves CLI paths (trace files or
 sweep directories) into runs, :func:`build_report` computes the
@@ -36,44 +39,32 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.obs.analysis import category_counts, latency_report, \
     read_trace, recovery_breakdown
-from repro.obs.monitor import MonitorSuite, default_monitors, read_ledger
+from repro.obs.monitor import MonitorSuite, read_ledger
 from repro.obs.tracer import SCHEMA_VERSION
 
 
 def log_occupancy(events: List[Dict], curve_points: int = 24) -> Dict:
-    """Figure 11 from the trace: occupancy curve + high-water marks.
+    """Figure 11's occupancy curve from the trace.
 
-    ``per_node_watermark`` restarts at the ``sim.warmup_done`` marker,
-    mirroring ``Machine.note_warmup_done``'s reset of each log's
-    ``max_bytes_used`` — so the values equal the simulator's own
-    steady-state Figure 11 statistic exactly.  ``curve`` is the
-    machine-wide total occupancy over time, down-sampled to
-    ``curve_points`` buckets of (bucket-end ts, max total bytes).
+    ``curve`` is the machine-wide total log occupancy over time
+    (``log.append``/``log.reclaim`` events), down-sampled to
+    ``curve_points`` buckets of (bucket-end ts, max total bytes);
+    ``warmup_ts`` is the ``sim.warmup_done`` time.  The per-node
+    high-water marks come from the replayed
+    :class:`~repro.obs.monitor.LogOccupancyMonitor` (:func:`build_report`).
     """
     occupancy: Dict[int, int] = {}
-    watermark: Dict[int, int] = {}
     samples: List[Tuple[int, int]] = []
     warmup_ts: Optional[int] = None
     for event in events:
         name = event.get("name")
         if name == "sim.warmup_done":
-            watermark = {}
             warmup_ts = event["ts"]
-        elif name == "log.append":
-            node, used = event["node"], event["bytes_used"]
-            occupancy[node] = used
-            if used > watermark.get(node, 0):
-                watermark[node] = used
-            samples.append((event["ts"], sum(occupancy.values())))
-        elif name == "log.reclaim":
+        elif name in ("log.append", "log.reclaim"):
             occupancy[event["node"]] = event["bytes_used"]
             samples.append((event["ts"], sum(occupancy.values())))
-    return {
-        "per_node_watermark": dict(sorted(watermark.items())),
-        "max_log_bytes": max(watermark.values(), default=0),
-        "warmup_ts": warmup_ts,
-        "curve": _bucket_curve(samples, curve_points),
-    }
+    return {"warmup_ts": warmup_ts,
+            "curve": _bucket_curve(samples, curve_points)}
 
 
 def _bucket_curve(samples: List[Tuple[int, int]],
@@ -192,20 +183,22 @@ def _one_run(trace_path: str, name: str) -> Dict:
 def build_report(runs: List[Dict]) -> Dict:
     """Compute the full JSON-able report for :func:`render_report`.
 
-    Each run's stream statistics come from replaying its events
-    through the standard monitor set (sized from its ledger's
-    ``run_args`` when available) — the exact code path a live run
-    monitors with.
+    Each run's stream statistics — verdicts, per-node log watermarks,
+    per-class latency percentiles — come from replaying its events
+    through :func:`~repro.harness.observe.run_monitors` of its ledger's
+    variant and ``run_args``: the monitors the live run used, sized
+    the same way, so the report's verdicts equal the ledger's.
     """
+    from repro.harness.observe import run_monitors
+
     report_runs: List[Dict] = []
     ledgers: List[Dict] = []
     for run in runs:
         events = run["events"]
         ledger = run.get("ledger")
-        run_args = (ledger or {}).get("run_args") or {}
-        suite = MonitorSuite(default_monitors(
-            interval_ns=run_args.get("interval_ns"),
-            log_capacity_bytes=run_args.get("log_bytes_per_node")))
+        suite = MonitorSuite(run_monitors(
+            (ledger or {}).get("variant"),
+            (ledger or {}).get("run_args") or {}))
         for event in events:
             suite.write(event)
         try:
@@ -213,14 +206,17 @@ def build_report(runs: List[Dict]) -> Dict:
         except ValueError:
             recovery = None
         verdicts = suite.verdicts()
-        latency = latency_report(events)
+        log = verdicts["log_occupancy"]
+        spans = verdicts["span_latency"]["classes"]
         report_runs.append({
             "name": run["name"],
             "events": len(events),
             "categories": category_counts(events),
-            "log_occupancy": log_occupancy(events),
+            "log_occupancy": dict(log_occupancy(events),
+                                  per_node_watermark=log["watermark_bytes"],
+                                  max_log_bytes=log["max_watermark_bytes"]),
             "recovery": recovery,
-            "latency": latency if latency["total_spans"] else None,
+            "latency": latency_report(events, spans) if spans else None,
             "verdicts": verdicts,
             "healthy": all(v.get("healthy", True)
                            for v in verdicts.values()),
@@ -252,7 +248,7 @@ _RECOVERY_LABELS = (
 
 
 def render_latency(latency: Dict) -> str:
-    """Render one latency report (the ``repro latency`` table pair).
+    """Render one run's latency tables.
 
     First table: per-class count, mean, p50/p90/p99/p999, max (all in
     nanoseconds, upper-edge percentile convention).  Second table: the

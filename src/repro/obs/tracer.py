@@ -26,8 +26,8 @@ Design constraints, in order of importance:
   "recovery"}`` drops everything else at the emission point, before
   the sink sees it.
 * **Pluggable sinks.**  :class:`JsonlFileSink` streams events to a
-  JSONL file (optionally rotating segments), :class:`RingBufferSink`
-  keeps the last N events in memory for tests and post-mortems.
+  JSONL file, :class:`RingBufferSink` keeps the last N events in
+  memory for tests and post-mortems.
 """
 
 from __future__ import annotations
@@ -86,46 +86,18 @@ class RingBufferSink:
 
 
 class JsonlFileSink:
-    """Streams events to a JSONL file, one JSON object per line.
+    """Streams events to a JSONL file, one JSON object per line."""
 
-    With ``max_events_per_file`` set, the sink *rotates*: the first
-    segment is ``path`` itself, subsequent segments are ``path.1``,
-    ``path.2``, ...  :meth:`paths` lists the segments written so far in
-    chronological order, and :func:`read_trace` re-joins them.
-    """
-
-    def __init__(self, path: str,
-                 max_events_per_file: Optional[int] = None) -> None:
-        if max_events_per_file is not None and max_events_per_file <= 0:
-            raise ValueError("max_events_per_file must be positive")
-        self.base_path = path
-        self.max_events_per_file = max_events_per_file
-        self._segment = 0
-        self._events_in_segment = 0
+    def __init__(self, path: str) -> None:
+        self.path = path
         self._file = open(path, "w", encoding="utf-8")
 
-    def _segment_path(self, segment: int) -> str:
-        return self.base_path if segment == 0 \
-            else f"{self.base_path}.{segment}"
-
-    def paths(self) -> List[str]:
-        """Every segment written so far, oldest first."""
-        return [self._segment_path(s) for s in range(self._segment + 1)]
-
     def write(self, event: Dict) -> None:
-        """Serialise one event; open the next segment when full."""
-        if (self.max_events_per_file is not None
-                and self._events_in_segment >= self.max_events_per_file):
-            self._file.close()
-            self._segment += 1
-            self._events_in_segment = 0
-            self._file = open(self._segment_path(self._segment), "w",
-                              encoding="utf-8")
+        """Serialise one event as one line."""
         self._file.write(json.dumps(event, separators=(",", ":")) + "\n")
-        self._events_in_segment += 1
 
     def close(self) -> None:
-        """Flush and close the current segment."""
+        """Flush and close the file."""
         if not self._file.closed:
             self._file.close()
 

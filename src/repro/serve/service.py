@@ -1,8 +1,7 @@
 """The async simulation service behind ``repro serve``.
 
-A :class:`SimulationService` accepts run/latency/sweep/report/campaign
-requests,
-dedupes them against a content-addressed
+A :class:`SimulationService` accepts run/sweep/report/campaign/stats
+requests, dedupes them against a content-addressed
 :class:`~repro.harness.store.ResultStore` keyed by the ledger config
 digest, schedules cache misses across a multiprocessing worker pool
 (through the job executor of
@@ -83,7 +82,7 @@ DEFAULT_PORT = 7316
 DEFAULT_HOST = "127.0.0.1"
 
 #: The request operations the service accepts.
-OPS = ("run", "latency", "sweep", "report", "campaign", "stats")
+OPS = ("run", "sweep", "report", "campaign", "stats")
 
 #: Seconds between heartbeat samples while the TCP server runs.
 HEARTBEAT_PERIOD_S = 2.0
@@ -114,7 +113,7 @@ def _normalise(request) -> Dict:
 
     Returns ``{op, apps, variants, nodes, scale, interval_us,
     no_cache, observe}`` with every field defaulted and validated, or
-    raises :class:`ServiceError`.  ``run``/``latency`` requests name
+    raises :class:`ServiceError`.  ``run``/``campaign`` requests name
     one ``app`` (and optional ``variant``); ``sweep``/``report``
     requests name ``apps`` (and optional ``variants``).  The request's
     ``digest: true`` becomes ``observe``, an
@@ -133,7 +132,7 @@ def _normalise(request) -> Dict:
     if op == "stats":
         # Pure telemetry read: no apps, machines, or cache involved.
         return {"op": "stats"}
-    if op in ("run", "latency", "campaign"):
+    if op in ("run", "campaign"):
         app = request.get("app")
         apps = [app] if app is not None else list(request.get("apps") or [])
         if len(apps) != 1:

@@ -3,6 +3,11 @@
 import pytest
 
 from repro.cli import main, make_parser
+from repro.obs import recovery_breakdown
+
+#: Figure 12's worst case on a tiny machine, small enough for tests.
+TRACED_RECOVERY = ["recover", "lu", "--nodes", "4", "--scale", "0.5",
+                   "--interval-us", "50", "--lost-node", "1"]
 
 
 class TestParser:
@@ -25,11 +30,16 @@ class TestParser:
         assert args.lost_node == 3
 
     def test_trace_defaults(self):
-        args = make_parser().parse_args(["trace", "lu"])
-        assert args.out == "trace.jsonl"
-        assert args.nodes == 4
-        assert args.lost_node == 1
-        assert args.trace is None
+        # Tracing a recovery is 'recover --trace'; there is no 'trace'
+        # command and no '--out' flag.
+        args = make_parser().parse_args(["recover", "lu"])
+        assert args.trace is None and args.trace_categories is None
+        assert not hasattr(args, "out")
+        args = make_parser().parse_args(["recover", "lu",
+                                         "--trace", "t.jsonl"])
+        assert args.trace == "t.jsonl"
+        with pytest.raises(SystemExit):
+            make_parser().parse_args(["trace", "lu"])
 
     def test_observability_flags_on_run(self):
         args = make_parser().parse_args(
@@ -158,12 +168,41 @@ class TestCommands:
                   "--trace-categories", "bogus"])
 
     def test_trace_command_matches_recovery_result(self, tmp_path, capsys):
+        """``recover --trace`` recomputes the recovery breakdown from
+        the trace and checks it against the live ``RecoveryResult``."""
         out_path = str(tmp_path / "trace.jsonl")
-        rc = main(["trace", "lu", "--out", out_path])
+        rc = main([*TRACED_RECOVERY, "--trace", out_path])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "trace breakdown matches RecoveryResult" in out
+        assert "live vs recomputed" in out
+        assert "parity consistent, trace breakdown matches " \
+            "RecoveryResult" in out
         assert "MISMATCH" not in out
+
+    def test_recover_trace_mismatch_exits_1(self, tmp_path, capsys,
+                                            monkeypatch):
+        import repro.cli
+
+        def off_by_one(events):
+            return {phase: ns + 1 for phase, ns
+                    in recovery_breakdown(events).items()}
+
+        monkeypatch.setattr(repro.cli, "recovery_breakdown", off_by_one)
+        rc = main([*TRACED_RECOVERY, "--trace", str(tmp_path / "t.jsonl")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "MISMATCH" in captured.out
+        assert "TRACE MISMATCH" in captured.err
+
+    def test_recover_trace_check_skipped_without_its_categories(
+            self, tmp_path, capsys):
+        rc = main([*TRACED_RECOVERY, "--trace", str(tmp_path / "t.jsonl"),
+                   "--trace-categories", "ckpt,sim"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "check skipped: --trace-categories leaves out recovery" \
+            in out
+        assert "verification: memory bit-exact, parity consistent\n" in out
 
 
 class TestMonitoringCommands:
@@ -248,9 +287,9 @@ class TestMonitoringCommands:
                      "--trace", trace]) == 0
         capsys.readouterr()
 
-        # repro latency: percentile + attribution tables from spans.
-        report_json = str(tmp_path / "lat.json")
-        rc = main(["latency", trace, "--json", report_json])
+        # repro report: percentile + attribution tables from spans.
+        report_json = str(tmp_path / "report.json")
+        rc = main(["report", trace, "--json", report_json])
         out = capsys.readouterr().out
         assert rc == 0
         assert "transaction latency" in out
@@ -258,8 +297,9 @@ class TestMonitoringCommands:
         assert "read_miss" in out and "p999" in out
         import json
         report = json.loads(open(report_json, encoding="utf-8").read())
-        assert report["run"]["total_spans"] > 0
-        assert "read_miss" in report["run"]["classes"]
+        (run,) = report["runs"]
+        assert run["latency"]["total_spans"] > 0
+        assert "read_miss" in run["latency"]["classes"]
 
         # repro export-trace: default out path, loadable JSON.
         rc = main(["export-trace", trace])
@@ -283,8 +323,31 @@ class TestMonitoringCommands:
         assert all(e["ph"] in ("X", "M") for e in loaded["traceEvents"])
 
     def test_latency_missing_trace_exits(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["latency", str(tmp_path / "nope.jsonl")])
+        missing = str(tmp_path / "nope.jsonl")
+        with pytest.raises(SystemExit, match=f"no trace at {missing}"):
+            main(["report", missing])
+
+    def test_bench_report_verdicts_equal_the_ledger(self, tmp_path,
+                                                    capsys):
+        """``repro report`` replays a trace through the monitors its
+        run used, sized from the ledger: a bench-machine log monitor
+        knows its 2 MB capacity in both."""
+        import json
+
+        trace = str(tmp_path / "fft.jsonl")
+        ledger = str(tmp_path / "fft.ledger.json")
+        assert main(["run", "fft", "--scale", "0.02",
+                     "--variant", "cp_parity", "--trace", trace,
+                     "--ledger", ledger]) == 0
+        report_json = str(tmp_path / "report.json")
+        assert main(["report", trace, "--json", report_json]) == 0
+        capsys.readouterr()
+        (run,) = json.loads(open(report_json, encoding="utf-8").read())[
+            "runs"]
+        manifest = json.loads(open(ledger, encoding="utf-8").read())
+        assert run["verdicts"] == manifest["verdicts"]
+        assert run["verdicts"]["log_occupancy"]["capacity_bytes"] == \
+            2 * 1024 * 1024
 
     def test_export_trace_missing_trace_exits(self, tmp_path):
         with pytest.raises(SystemExit, match="no trace"):

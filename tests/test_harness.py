@@ -101,6 +101,29 @@ class TestRunResult:
             self.make(10).overhead_vs(self.make(0))
 
 
+class TestRunAppLedger:
+    def test_truncated_run_has_its_own_config_digest(self, tmp_path):
+        """``run_app(until=...)`` records ``until`` in the ledger, so a
+        truncated run does not claim the full run's configuration."""
+        from repro.harness.observe import Observe
+        from repro.harness.runner import run_app
+        from repro.obs import read_ledger
+
+        kwargs = dict(scale=0.05, n_procs=4, interval_ns=50_000,
+                      machine_config=MachineConfig.tiny(4),
+                      parity_group_size=3, log_bytes_per_node=64 * 1024)
+        manifests = {}
+        for until in (None, 20_000):
+            path = str(tmp_path / f"{until}.ledger.json")
+            run_app("lu", "cp_parity", until=until,
+                    observe=Observe(ledger=path), **kwargs)
+            manifests[until] = read_ledger(path)
+        assert "until" not in manifests[None]["run_args"]
+        assert manifests[20_000]["run_args"]["until"] == 20_000
+        assert manifests[None]["config_digest"] != \
+            manifests[20_000]["config_digest"]
+
+
 class TestReporting:
     def test_format_table_alignment(self):
         out = format_table(["a", "bb"], [[1, "x"], [22, "yy"]], title="T")

@@ -25,10 +25,9 @@ from repro.obs import (
     SpanLatencyMonitor,
     Tracer,
     TrafficRateMonitor,
-    attach_monitors,
-    default_monitors,
     read_ledger,
 )
+from repro.harness.observe import run_monitors
 from tests.conftest import ToyWorkload, build_tiny_machine
 
 
@@ -57,36 +56,19 @@ class TestMonitorSuite:
                     line=0, commit=False, bytes_used=10)
         suite.close()                   # no wrapped sink: a no-op
         assert monitor.watermark == {2: 10}
-        assert suite.paths() == []
 
     def test_duplicate_monitor_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate monitor names"):
             MonitorSuite([RecoveryMonitor(), RecoveryMonitor()])
 
     def test_verdicts_keyed_by_monitor_name(self):
-        suite = MonitorSuite(default_monitors())
+        suite = MonitorSuite(run_monitors("cp_parity", {}))
         verdicts = suite.verdicts()
         assert set(verdicts) == {"log_occupancy", "checkpoint_cadence",
                                  "traffic_rate", "recovery", "mem_traffic",
                                  "span_latency"}
         assert all("healthy" in v for v in verdicts.values())
         assert suite.healthy
-
-    def test_attach_monitors_wraps_existing_sink(self):
-        sink = RingBufferSink()
-        tracer = Tracer(sink)
-        monitor = RecoveryMonitor()
-        suite = attach_monitors(tracer, [monitor])
-        assert tracer.sink is suite and suite.sink is sink
-        tracer.emit(9, "recovery", "recovery.begin", lost_node=1)
-        assert len(sink.events()) == 1
-        assert monitor.recoveries == 1
-
-    def test_attach_monitors_enables_sinkless_tracer(self):
-        tracer = Tracer(sink=None)
-        assert not tracer.enabled
-        attach_monitors(tracer, [RecoveryMonitor()])
-        assert tracer.enabled
 
 
 class TestLogOccupancyMonitor:
@@ -306,9 +288,9 @@ class TestLiveRunAgreement:
     @pytest.fixture(scope="class")
     def monitored_run(self):
         machine = build_tiny_machine()
-        suite = MonitorSuite(default_monitors(
-            interval_ns=machine.checkpointing.interval_ns,
-            log_capacity_bytes=64 * 1024))
+        suite = MonitorSuite(run_monitors("cp_parity", {
+            "interval_ns": machine.checkpointing.interval_ns,
+            "log_bytes_per_node": 64 * 1024}))
         machine.install_tracer(Tracer(suite))
         machine.attach_workload(ToyWorkload(rounds=3))
         machine.run()

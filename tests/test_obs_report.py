@@ -51,6 +51,13 @@ def traced_toy_run(tmp_path, rounds=3):
     return machine, read_trace(path)
 
 
+def report_run(events):
+    """The report of one ledgerless trace."""
+    (run,) = build_report([{"name": "toy", "events": events,
+                            "ledger": None}])["runs"]
+    return run
+
+
 def traced_node_loss_run(tmp_path):
     """A traced run that loses node 1 and recovers to epoch 1."""
     path = str(tmp_path / "loss.jsonl")
@@ -75,7 +82,7 @@ def traced_node_loss_run(tmp_path):
 class TestFigure11LogOccupancy:
     def test_watermarks_match_simulator_bit_for_bit(self, tmp_path):
         machine, events = traced_toy_run(tmp_path)
-        occupancy = log_occupancy(events)
+        occupancy = report_run(events)["log_occupancy"]
         for node, log in machine.revive.logs.items():
             assert occupancy["per_node_watermark"].get(node, 0) == \
                 log.max_bytes_used
@@ -84,7 +91,7 @@ class TestFigure11LogOccupancy:
 
     def test_warmup_partitions_the_stream(self, tmp_path):
         _machine, events = traced_toy_run(tmp_path)
-        occupancy = log_occupancy(events)
+        occupancy = report_run(events)["log_occupancy"]
         assert occupancy["warmup_ts"] is not None
         # First-touch logging alone must not set the watermark.
         pre = [e for e in events if e["name"] == "log.append"
@@ -194,7 +201,7 @@ class TestLatencyReport:
         # alone equal the machine's live ``lat.*`` histograms (which
         # include warmup — neither side resets).
         machine, events = traced_toy_run(tmp_path)
-        report = latency_report(events)
+        report = report_run(events)["latency"]
         assert report["total_spans"] == len(span_ends(events)) > 0
         for cls, digest in report["classes"].items():
             live = machine.stats.log_histogram("lat." + cls).summary()
@@ -203,7 +210,7 @@ class TestLatencyReport:
     def test_attribution_shares_are_normalized(self, tmp_path):
         from repro.obs import SEGMENTS
         _machine, events = traced_toy_run(tmp_path)
-        for digest in latency_report(events)["classes"].values():
+        for digest in report_run(events)["latency"]["classes"].values():
             for table in (digest["attribution"],
                           digest["tail_attribution"]):
                 assert set(table) <= set(SEGMENTS)
@@ -227,7 +234,7 @@ class TestLatencyReport:
         assert run["latency"] is None
         assert "transaction latency" not in render_report(report)
         assert "no span events" in render_latency(
-            latency_report([]))
+            latency_report([], {}))
 
     def test_serial_and_parallel_sweeps_agree_exactly(
             self, tmp_path_factory):
@@ -238,8 +245,8 @@ class TestLatencyReport:
             run_sweep(["lu"], ["baseline", "cp_parity"], serial=serial,
                       observe=Observe(trace=trace_dir), **SWEEP_KW)
             reports.append({
-                run["name"]: latency_report(run["events"])
-                for run in gather_runs([trace_dir])})
+                run["name"]: run["latency"]
+                for run in build_report(gather_runs([trace_dir]))["runs"]})
         serial_report, parallel_report = reports
         assert serial_report == parallel_report
         assert all(r["total_spans"] > 0 for r in serial_report.values())

@@ -196,13 +196,17 @@ class TestCachePath:
 
 
 class TestOps:
-    def test_latency_op_streams_classes(self, tmp_path):
+    def test_run_op_streams_latency_classes(self, tmp_path):
         service = make_service(tmp_path)
-        events = collect(service, dict(RUN_REQUEST, op="latency"))
+        events = collect(service, RUN_REQUEST)
         latency = next(e for e in events if e["name"] == "svc.latency")
         assert latency["classes"]          # non-empty span classes
         for stats in latency["classes"].values():
             assert set(stats) >= {"count", "p50", "p99"}
+        # There is no separate latency op: it was the run op renamed.
+        events = collect(service, dict(RUN_REQUEST, op="latency"))
+        assert names(events) == ["svc.error"]
+        assert "unknown op" in events[0]["error"]
 
     def test_report_op_streams_overhead_rows(self, tmp_path):
         service = make_service(tmp_path)

@@ -427,15 +427,3 @@ class TestLintFile:
         machine.run()
         tracer.close()
         assert lint_file(path) == []
-
-    def test_rotated_trace_lints_clean_across_segments(self, tmp_path):
-        path = str(tmp_path / "rot.jsonl")
-        sink = JsonlFileSink(path, max_events_per_file=50)
-        machine = build_tiny_machine()
-        tracer = Tracer(sink)
-        machine.install_tracer(tracer)
-        machine.attach_workload(ToyWorkload(rounds=1, refs_per_round=500))
-        machine.run()
-        tracer.close()
-        assert len(sink.paths()) > 1
-        assert lint_file(path) == []

@@ -8,44 +8,45 @@ Run from the repository root::
 Steps (documented in docs/OBSERVABILITY.md):
 
 1. ``python -m repro --help`` exits 0.
-2. ``python -m repro trace lu`` on a tiny 4-node machine writes a
-   JSONL trace whose recomputed recovery breakdown matches the live
-   ``RecoveryResult`` (the command itself verifies this and exits
-   non-zero on mismatch).
-3. The trace passes ``python -m repro trace-lint`` — the full schema
-   validation (envelope, categories, names, required fields), a strict
-   superset of the quick envelope check also performed here.
-4. ``ruff check`` — only when the ruff binary is installed (it is an
+2. ``python -m repro recover lu --nodes 4 --scale 0.5 --interval-us 50
+   --lost-node 1 --trace X --profile`` writes a JSONL trace whose
+   recomputed recovery breakdown matches the live ``RecoveryResult``
+   (the command itself verifies this, together with memory and
+   parity, and exits non-zero on a mismatch).  The trace must be
+   non-empty, carry the envelope keys and ``SCHEMA_VERSION`` on every
+   event, and pass ``python -m repro trace-lint`` — the full schema
+   validation (envelope, categories, names, required fields).
+3. ``ruff check`` — only when the ruff binary is installed (it is an
    optional dev dependency; the smoke test must not require network
    installs), otherwise the step is reported as skipped.
-5. Perf smoke: one quick throughput measurement through
+4. Perf smoke: one quick throughput measurement through
    ``repro.harness.perf`` must clear a very soft floor (a fraction of
    the hard perf-harness floor; see docs/PERFORMANCE.md).  Catches
    "the simulator got 10x slower" mistakes without the full
    ``tools/bench.py`` run.
-6. Tier matrix: one small ``lu``/cp_parity run through each execution
+5. Tier matrix: one small ``lu``/cp_parity run through each execution
    tier (reference loop, columnar batch engine) — times, counters, and
    memory contents must be bit-identical (docs/PERFORMANCE.md; the
    exhaustive oracle is ``tests/test_columnar.py``).
-7. Profile attribution: ``repro profile lu`` on the tiny machine must
+6. Profile attribution: ``repro profile lu`` on the tiny machine must
    attribute at least half of ``machine.run``'s wall clock to actors
    (the real gate is 95%; the smoke floor only catches a broken
    attribution path) and its ``prof.*`` trace must pass
    ``repro trace-lint`` (docs/OBSERVABILITY.md).
-8. Serve round-trip: start ``repro serve`` on a free port with a
+7. Serve round-trip: start ``repro serve`` on a free port with a
    scratch cache, ``repro submit`` the same tiny run twice, and check
    the first reports a cache miss and the second a cache hit — the
    end-to-end path documented in docs/SERVING.md.
-9. Serve telemetry: against a fresh server, ``repro stats`` must
+8. Serve telemetry: against a fresh server, ``repro stats`` must
    stream a heartbeat and a metrics snapshot, and ``repro stats
    --prometheus`` must scrape the same registry as Prometheus text
    through ``GET /metrics`` on the service port (docs/SERVING.md).
-10. Campaign round-trip: ``repro campaign`` twice against a scratch
-    store — the first run must capture the warm image (miss), the
-    second must fork from the cached image with identical outcomes,
-    and the campaign trace must pass ``repro trace-lint``
-    (docs/SNAPSHOTS.md).
-11. Determinism diff: ``repro run --digest`` twice — once clean, once
+9. Campaign round-trip: ``repro campaign`` twice against a scratch
+   store — the first run must capture the warm image (miss), the
+   second must fork from the cached image with identical outcomes,
+   and the campaign trace must pass ``repro trace-lint``
+   (docs/SNAPSHOTS.md).
+10. Determinism diff: ``repro run --digest`` twice — once clean, once
     with ``REPRO_PERTURB_STORE=100`` flipping one reference — then
     ``repro diff --bisect`` must exit 1, name the first divergent
     window and component, and localise a replayed event whose store
@@ -92,11 +93,12 @@ def step_traced_run() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         trace_path = os.path.join(tmp, "smoke.jsonl")
-        proc = run([sys.executable, "-m", "repro", "trace", "lu",
-                    "--out", trace_path, "--profile"],
+        proc = run([sys.executable, "-m", "repro", "recover", "lu",
+                    "--nodes", "4", "--scale", "0.5", "--interval-us", "50",
+                    "--lost-node", "1", "--trace", trace_path, "--profile"],
                    capture_output=True, text=True)
         if proc.returncode != 0:
-            raise SystemExit("repro trace failed:\n"
+            raise SystemExit("repro recover --trace failed:\n"
                              f"{proc.stdout}\n{proc.stderr}")
         events = read_trace(trace_path)
         if not events:
@@ -368,7 +370,7 @@ def main() -> int:
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
     print("[1/10] repro --help")
     step_cli_help()
-    print("[2/10] traced node-loss recovery (repro trace lu)")
+    print("[2/10] traced node-loss recovery (repro recover lu --trace)")
     step_traced_run()
     print("[3/10] ruff check")
     if step_lint():
